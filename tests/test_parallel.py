@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -14,6 +15,12 @@ from permpolar.parallel import (
     scheme_to_manifest,
 )
 from permpolar.polar import InformationSet
+from permpolar.simrunner import (
+    PermutedParallelChannel,
+    evaluate,
+    reports_to_csv,
+    transmit,
+)
 
 NOISELESS = bsc(0.0)
 
@@ -321,6 +328,57 @@ def test_nonbinary_build_uses_symbol_reliability():
     sch = NonBinaryScheme.build(chans, 16, m=2, rates=[0.25, 0.25])
     assert [len(a) for a in sch.info_sets] == [4, 4]
     assert sch.super_channels[0].input_size == 4
+
+
+# -- coupled schemes: golden record ------------------------------------------------
+
+# Recorded from the separate InterleavedScheme and NonBinaryScheme
+# implementations on BSC 0.11002 + BEC 0.5 at n=64, m=2, rates 1/4: the
+# evaluate CSV (300 noisy trials per permutation, seed 2027), and SHA-256
+# prefixes of the int64 codewords of 64 seeded messages and of their
+# decisions after a noisy transmission under each permutation.  Noisy
+# outputs reach likelihood ties (BEC erasures), so the decisions pin the
+# tie rule as well as the codes.
+GOLDEN = {
+    "interleaved": (
+        "permutation,n,rate,trials,errors,bler,ci_low,ci_high,seed\n"
+        "0-1,128,0.5,300,25,0.08333333333333333,0.057080874056394275,"
+        "0.12012160196406074,2027\n"
+        "1-0,128,0.5,300,21,0.07,0.046236944827176336,0.10463601042593323,2027\n",
+        "b67da7a1299a02d1",
+        "36c6b5d3b09767be",
+    ),
+    "nonbinary": (
+        "permutation,n,rate,trials,errors,bler,ci_low,ci_high,seed\n"
+        "0-1,128,0.5,300,26,0.08666666666666667,0.05982889751804311,"
+        "0.12395595869424827,2027\n"
+        "1-0,128,0.5,300,16,0.05333333333333334,0.03309191251909646,"
+        "0.08486914177483133,2027\n",
+        "5c1986d3a2bdb740",
+        "84d6fc92e5f2f77a",
+    ),
+}
+
+
+def _digest(a) -> str:
+    data = np.ascontiguousarray(a, dtype=np.int64).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("cls", [InterleavedScheme, NonBinaryScheme])
+def test_coupled_scheme_matches_golden_record(cls):
+    csv, encoded, decided = GOLDEN[cls.kind]
+    sch = cls.build([bsc(0.11002), bec(0.5)], 64, m=2, rates=[0.25, 0.25])
+    assert reports_to_csv(evaluate(sch, trials=300, master_seed=2027)) == csv
+    msgs = np.random.default_rng(7).integers(0, 2, (64, sch.info_bit_count))
+    x = sch.encode(msgs)
+    assert _digest(x) == encoded
+    decisions = []
+    for pi in itertools.permutations(range(sch.S)):
+        ppc = PermutedParallelChannel(sch.channels, pi)
+        y = np.stack([transmit(ppc, x[:, i], 11, i) for i in range(len(msgs))], axis=1)
+        decisions.append(sch.decode(list(y), pi))
+    assert _digest(np.stack(decisions)) == decided
 
 
 # -- shared -----------------------------------------------------------------------
