@@ -45,16 +45,12 @@ from .polar import (
     ScDecoder,
     bec_split_bhattacharyya,
     build_info_set,
-    create_sc_state,
     error_event_probability,
-    generator,
     list_decode,
     monotone_info_sets,
     polar_encode,
     sc_decode,
-    sc_decoder_step,
     split_channel_exact,
-    static_resolver,
 )
 from .simrunner import (
     PermutedParallelChannel,

@@ -94,6 +94,13 @@ def _parse_channel(token: str):
     raise ConfigError(f"unknown channel kind {kind!r}")
 
 
+def _parse_permutations(value: str):
+    """`all`, or `;`-separated comma lists such as `0,1,2;2,1,0`."""
+    if value == "all":
+        return "all"
+    return [tuple(int(v) for v in grp.split(",")) for grp in value.split(";")]
+
+
 def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -130,13 +137,7 @@ def parse_config(text: str) -> ExperimentConfig:
             elif key == "seed":
                 cfg.seed = int(value)
             elif key == "permutations":
-                if value == "all":
-                    cfg.permutations = "all"
-                else:
-                    cfg.permutations = [
-                        tuple(int(v) for v in grp.split(","))
-                        for grp in value.split(";")
-                    ]
+                cfg.permutations = _parse_permutations(value)
             elif key == "out":
                 cfg.out = value
             elif key == "depth":
@@ -207,25 +208,44 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _load_manifest(path: str):
+    try:
+        with open(path) as fh:
+            return scheme_from_manifest(fh.read())
+    except ConstructionError:
+        raise
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError(f"bad manifest {path}: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    with open(args.manifest) as fh:
-        scheme = scheme_from_manifest(fh.read())
+    scheme = _load_manifest(args.manifest)
     if cfg.channels and list(scheme.channels) != list(cfg.channels):
         raise ConfigError("manifest channels do not match the config channels")
     if cfg.n and scheme.n != cfg.n:
         raise ConfigError("manifest n does not match the config n")
-    trials = args.trials or cfg.trials
-    seed = args.seed if args.seed is not None else cfg.seed
+    trials = cfg.trials if args.trials is None else args.trials
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    seed = cfg.seed if args.seed is None else args.seed
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {seed}")
+    if args.workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {args.workers}")
     permutations = cfg.permutations
     if args.permutations:
-        if args.permutations == "all":
-            permutations = "all"
-        else:
-            permutations = [
-                tuple(int(v) for v in grp.split(","))
-                for grp in args.permutations.split(";")
-            ]
+        try:
+            permutations = _parse_permutations(args.permutations)
+        except ValueError as exc:
+            raise ConfigError(f"--permutations: {exc}") from None
+    if permutations != "all":
+        for pi in permutations:
+            if sorted(pi) != list(range(scheme.S)):
+                raise ConfigError(
+                    f"permutation {','.join(map(str, pi))} is not a bijection "
+                    f"on 0..{scheme.S - 1}"
+                )
     reports = evaluate(
         scheme,
         permutations=permutations,
@@ -315,6 +335,14 @@ def cmd_selftest(args) -> int:
 
     import itertools
 
+    def round_trips(sch) -> bool:
+        bits = rng.integers(0, 2, sch.info_bit_count)
+        x = sch.encode(bits)
+        return all(
+            np.array_equal(sch.decode([x[pi[s]] for s in range(sch.S)], pi), bits)
+            for pi in itertools.permutations(range(sch.S))
+        )
+
     noiseless = chmod.bsc(0.0)
     sch = DegradedScheme(
         [noiseless] * 3,
@@ -324,15 +352,11 @@ def cmd_selftest(args) -> int:
             InformationSet(8, (6, 7)),
         ],
     )
-    bits = rng.integers(0, 2, sch.info_bit_count)
-    x = sch.encode(bits)
-    ok = all(
-        np.array_equal(
-            sch.decode([x[pi[s]] for s in range(3)], pi), bits
-        )
-        for pi in itertools.permutations(range(3))
-    )
-    check("parallel: degraded scheme over all assignments", ok)
+    check("parallel: degraded scheme over all assignments", round_trips(sch))
+    coupled_sets = [InformationSet(8, (2, 3, 6, 7)), InformationSet(8, (1, 5, 6, 7))]
+    for cls in (InterleavedScheme, NonBinaryScheme):
+        sch = cls([noiseless] * 2, coupled_sets, m=2)
+        check(f"parallel: {cls.kind} scheme over all assignments", round_trips(sch))
 
     ch_list = [chmod.bec(0.2), chmod.bec(0.4)]
     sch2 = DegradedScheme.build(ch_list, 64, rates=[0.5, 0.3])

@@ -23,7 +23,6 @@ from .channel import (
 )
 from .polar import (
     InformationSet,
-    bec_split_bhattacharyya,
     channel_minus,
     channel_plus,
     monotone_info_sets,

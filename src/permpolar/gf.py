@@ -235,14 +235,6 @@ class FieldElement:
         return self.value
 
 
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
 def bits_to_symbols(bits, spec: FieldSpec) -> np.ndarray:
     """Pack bits into GF(2^m) symbols, m bits per symbol, MSB first.
 

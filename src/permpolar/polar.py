@@ -84,11 +84,6 @@ class PolarTransform:
         return polar_encode(np.eye(self.n, dtype=np.int64))
 
 
-def generator(n: int, field: FieldSpec = BINARY) -> PolarTransform:
-    """Transform of size n over the given field."""
-    return PolarTransform(n, field)
-
-
 @dataclass(frozen=True)
 class InformationSet:
     """Strictly increasing index subset of [0, n)."""
@@ -460,19 +455,6 @@ class ScDecoder:
         self._gen = _sc_leaves(w.T[received])
         self._pending = next(self._gen)
 
-    @property
-    def next_index(self) -> int:
-        return self._i
-
-    @property
-    def finished(self) -> bool:
-        return self._pending is None
-
-    def leaf_likelihoods(self) -> np.ndarray:
-        if self._pending is None:
-            raise RuntimeError("decoder already finished")
-        return self._pending
-
     def _advance(self, values: np.ndarray) -> None:
         self._decided[:, self._i] = values
         self._i += 1
@@ -761,29 +743,6 @@ class _ListDecoder:
         self.maps = self.maps[:, pick // 2]
         self.copies += 1
         return (pick % 2).astype(np.int8)
-
-
-def static_resolver(frozen_by_index):
-    """Resolver closure over a {index: symbol} mapping (missing -> 0)."""
-
-    def resolve(index, prefix):
-        return frozen_by_index.get(index, 0)
-
-    return resolve
-
-
-def create_sc_state(channel: DiscreteChannel, received, exact: bool = False) -> ScDecoder:
-    """Stepwise decoder over a single received word."""
-    received = np.asarray(received, dtype=np.int64)
-    if received.ndim != 1:
-        raise ValueError("create_sc_state expects a single word")
-    return ScDecoder(channel, received[None, :], exact=exact)
-
-
-def sc_decoder_step(state: ScDecoder) -> tuple[int, int]:
-    """Decide the next index; returns (index, symbol)."""
-    i = state.next_index
-    return i, int(state.decide()[0])
 
 
 # ---------------------------------------------------------------------------

@@ -182,24 +182,31 @@ def evaluate(
         paths = getattr(scheme, "list_size", 1)
         chunk = max(1, min(trials, (1 << 21) // max(1, uses * qsize) // paths))
     rate = scheme.rate()
+    if workers > 1:
+        # one pool for the whole call: every permutation's trials are split
+        # into the same ranges, and the counts are summed per permutation
+        bounds = np.linspace(0, trials, workers + 1, dtype=int)
+        ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        tasks = [
+            (scheme, channels, pi, master_seed, a, b, chunk)
+            for pi in perm_list
+            for a, b in ranges
+        ]
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers) as pool:
+            parts = pool.map(_worker, tasks)
+        per = len(ranges)
+        counts = [
+            tuple(map(sum, zip(*parts[i * per : (i + 1) * per])))
+            for i in range(len(perm_list))
+        ]
+    else:
+        counts = [
+            _run_trial_range(scheme, channels, pi, master_seed, 0, trials, chunk)
+            for pi in perm_list
+        ]
     reports = []
-    for pi in perm_list:
-        if workers > 1:
-            bounds = np.linspace(0, trials, workers + 1, dtype=int)
-            tasks = [
-                (scheme, channels, pi, master_seed, int(a), int(b), chunk)
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                parts = pool.map(_worker, tasks)
-            block_errors = sum(p[0] for p in parts)
-            bit_errors = sum(p[1] for p in parts)
-        else:
-            block_errors, bit_errors = _run_trial_range(
-                scheme, channels, pi, master_seed, 0, trials, chunk
-            )
+    for pi, (block_errors, bit_errors) in zip(perm_list, counts):
         lo, hi = _wilson_interval(block_errors, trials)
         reports.append(
             TrialReport(

@@ -178,3 +178,47 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "negative-seed-flag",
+        "negative-seed-config",
+        "repeated-permutation",
+        "unparsable-permutation",
+        "missing-manifest",
+        "malformed-manifest",
+        "zero-trials",
+        "zero-workers",
+    ],
+)
+def test_simulate_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
+    cfg_text = BASE_CFG
+    if case == "negative-seed-config":
+        cfg_text = BASE_CFG.replace("seed = 123", "seed = -1")
+    cfg = write(tmp_path, "exp.cfg", cfg_text)
+    man = str(tmp_path / "scheme.txt")
+    assert main(["construct", "--config", write(tmp_path, "c.cfg", BASE_CFG),
+                 "--out", man]) == 0
+    if case == "missing-manifest":
+        man = str(tmp_path / "absent.txt")
+    elif case == "malformed-manifest":
+        man = write(tmp_path, "bad.txt", "scheme degraded\nS two\n")
+    extra = {
+        "negative-seed-flag": ["--seed", "-1"],
+        "repeated-permutation": ["--permutations", "0,0"],
+        "unparsable-permutation": ["--permutations", "0,x"],
+        "zero-trials": ["--trials", "0"],
+        "zero-workers": ["--workers", "0"],
+    }.get(case, [])
+    capsys.readouterr()
+    out = tmp_path / "r.csv"
+    code = main(["simulate", "--config", cfg, "--manifest", man,
+                 "--out", str(out)] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: ")
+    assert not out.exists()

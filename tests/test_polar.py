@@ -22,15 +22,11 @@ from permpolar.polar import (
     ScDecoder,
     bec_split_bhattacharyya,
     build_info_set,
-    create_sc_state,
     error_event_probability,
-    generator,
     monotone_info_sets,
     polar_encode,
     sc_decode,
-    sc_decoder_step,
     split_channel_exact,
-    static_resolver,
     symbol_erasure_split_reliability,
 )
 
@@ -77,7 +73,7 @@ def test_transform_examples():
     assert np.array_equal(PolarTransform(1).matrix(), [[1]])
     with pytest.raises(ValueError):
         PolarTransform(3)
-    assert generator(4).n == 4
+    assert PolarTransform(4).n == 4
 
 
 def test_transform_matches_kronecker_matrix():
@@ -321,7 +317,7 @@ def test_sc_bec_no_erasures_recovery():
     msg = rng.integers(0, 2, 4)
     x = code.encode(msg)
     # erasure channel outputs: data symbols pass through as indices 0/1
-    decided = sc_decode(t, info, bec(0.4), x, static_resolver(frozen))
+    decided = sc_decode(t, info, bec(0.4), x, lambda i, p: frozen.get(i, 0))
     assert np.array_equal(decided[list(info.indices)], msg)
 
 
@@ -386,12 +382,12 @@ def test_stepping_equals_one_shot():
     rng = np.random.default_rng(5)
     for _ in range(25):
         y = rng.integers(0, 2, n)
-        one_shot = sc_decode(t, info, ch, y, static_resolver(frozen))
-        state = create_sc_state(ch, y)
+        one_shot = sc_decode(t, info, ch, y, lambda i, p: frozen.get(i, 0))
+        state = ScDecoder(ch, y)
         stepped = []
         for i in range(n):
             if i in info:
-                stepped.append(sc_decoder_step(state)[1])
+                stepped.append(int(state.decide()[0]))
             else:
                 state.inject(frozen[i], index=i)
                 stepped.append(frozen[i])
@@ -399,7 +395,7 @@ def test_stepping_equals_one_shot():
 
 
 def test_stepping_out_of_order_rejected():
-    state = create_sc_state(bsc(0.1), np.zeros(4, dtype=int))
+    state = ScDecoder(bsc(0.1), np.zeros(4, dtype=int))
     with pytest.raises(RuntimeError, match="out-of-order"):
         state.inject(0, index=2)
 
@@ -411,12 +407,12 @@ def test_stepping_interleaved_decoders_independent():
     rng = np.random.default_rng(6)
     y1 = rng.integers(0, 2, 4)
     y2 = rng.integers(0, 2, 4)
-    d1 = create_sc_state(ch, y1)
-    d2 = create_sc_state(ch, y2)
+    d1 = ScDecoder(ch, y1)
+    d2 = ScDecoder(ch, y2)
     lockstep = [[], []]
     for i in range(4):
-        lockstep[0].append(sc_decoder_step(d1)[1])
-        lockstep[1].append(sc_decoder_step(d2)[1])
+        lockstep[0].append(int(d1.decide()[0]))
+        lockstep[1].append(int(d2.decide()[0]))
     t = PolarTransform(4)
     full = InformationSet(4, tuple(range(4)))
     assert np.array_equal(lockstep[0], sc_decode(t, full, ch, y1))

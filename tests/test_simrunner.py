@@ -94,6 +94,30 @@ def test_evaluate_worker_invariance():
     assert reports_to_csv(a) == reports_to_csv(b)
 
 
+def test_evaluate_starts_one_pool_per_call(monkeypatch):
+    import multiprocessing
+
+    sch = small_scheme()
+    perms = [(1, 0), (0, 1), (1, 0)]
+    serial = evaluate(sch, permutations=perms, trials=40, master_seed=3)
+    ctx = multiprocessing.get_context("fork")
+    pools = []
+
+    class CountingContext:
+        def Pool(self, *args, **kwargs):
+            pools.append(args)
+            return ctx.Pool(*args, **kwargs)
+
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method: CountingContext()
+    )
+    pooled = evaluate(sch, permutations=perms, trials=40, master_seed=3, workers=3)
+    assert len(pools) == 1
+    # a repeated permutation gets its own report with the same counts
+    assert [r.bit_errors for r in pooled] == [r.bit_errors for r in serial]
+    assert reports_to_csv(pooled) == reports_to_csv(serial)
+
+
 def test_evaluate_rejects_all_for_large_s():
     sets = [InformationSet(2, (1,))] * 7
     sch = DegradedScheme([NOISELESS] * 7, sets)
