@@ -381,6 +381,57 @@ def test_coupled_scheme_matches_golden_record(cls):
     assert _digest(np.stack(decisions)) == decided
 
 
+# Recorded before the MDS codes were rebuilt on one generator-matrix class,
+# for DegradedScheme on BEC 0.1/0.3/0.5 at n=64, rates 3/4, 1/2, 3/8: the
+# evaluate CSV (200 noisy trials per permutation, seed 2028), and SHA-256
+# prefixes of the codewords of 64 seeded messages and of their decisions
+# after a noisy transmission under every permutation.  m=1 runs the
+# structured GF(2) family, m=2 the GRS family over GF(4).
+DEGRADED_GOLDEN = {
+    1: (
+        "permutation,n,rate,trials,errors,bler,ci_low,ci_high,seed\n"
+        "0-1-2,64,1.625,200,51,0.255,0.1996049517203135,0.3196292582045472,2028\n"
+        "0-2-1,64,1.625,200,54,0.27,0.21323449814685846,0.33543435198668425,2028\n"
+        "1-0-2,64,1.625,200,46,0.23,0.17709343259068805,0.2930830436530359,2028\n"
+        "1-2-0,64,1.625,200,54,0.27,0.21323449814685846,0.33543435198668425,2028\n"
+        "2-0-1,64,1.625,200,50,0.25,0.19508168006817497,0.31434098312045833,2028\n"
+        "2-1-0,64,1.625,200,53,0.265,0.2086815414710911,0.3301757619262242,2028\n",
+        "1fb6dcb5999fe604",
+        "63c2c03eb720cf32",
+    ),
+    2: (
+        "permutation,n,rate,trials,errors,bler,ci_low,ci_high,seed\n"
+        "0-1-2,64,1.625,200,51,0.255,0.1996049517203135,0.3196292582045472,2028\n"
+        "0-2-1,64,1.625,200,51,0.255,0.1996049517203135,0.3196292582045472,2028\n"
+        "1-0-2,64,1.625,200,46,0.23,0.17709343259068805,0.2930830436530359,2028\n"
+        "1-2-0,64,1.625,200,51,0.255,0.1996049517203135,0.3196292582045472,2028\n"
+        "2-0-1,64,1.625,200,50,0.25,0.19508168006817497,0.31434098312045833,2028\n"
+        "2-1-0,64,1.625,200,53,0.265,0.2086815414710911,0.3301757619262242,2028\n",
+        "751e84f5c9e8fb86",
+        "7a8680c20672f592",
+    ),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_degraded_scheme_matches_golden_record(m):
+    csv, encoded, decided = DEGRADED_GOLDEN[m]
+    sch = DegradedScheme.build(
+        [bec(0.1), bec(0.3), bec(0.5)], 64, m=m, rates=[0.75, 0.5, 0.375]
+    )
+    assert sch.family.kind == ("structured" if m == 1 else "grs")
+    assert reports_to_csv(evaluate(sch, trials=200, master_seed=2028)) == csv
+    msgs = np.random.default_rng(8).integers(0, 2, (64, sch.info_bit_count))
+    x = sch.encode(msgs)
+    assert _digest(x) == encoded
+    decisions = []
+    for pi in itertools.permutations(range(sch.S)):
+        ppc = PermutedParallelChannel(sch.channels, pi)
+        y = np.stack([transmit(ppc, x[:, i], 12, i) for i in range(len(msgs))], axis=1)
+        decisions.append(sch.decode(list(y), pi))
+    assert _digest(np.stack(decisions)) == decided
+
+
 # -- shared -----------------------------------------------------------------------
 
 
