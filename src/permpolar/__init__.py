@@ -27,8 +27,8 @@ from .compound import (
     parallel_rate_upper,
     tree_channel,
 )
-from .gf import FieldElement, FieldSpec, bits_to_symbols, symbols_to_bits
-from .mds import GrsCode, MdsFamily, mds_family
+from .gf import FieldSpec, bits_to_symbols, symbols_to_bits
+from .mds import GrsCode, MdsCode, MdsFamily
 from .parallel import (
     ConstructionError,
     DegradedScheme,

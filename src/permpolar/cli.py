@@ -32,7 +32,7 @@ from .parallel import (
     scheme_from_manifest,
     scheme_to_manifest,
 )
-from .simrunner import evaluate, reports_to_csv
+from .simrunner import MAX_ALL_PERMUTATIONS_S, evaluate, reports_to_csv
 
 
 class ConfigError(ValueError):
@@ -239,6 +239,11 @@ def cmd_simulate(args) -> int:
             permutations = _parse_permutations(args.permutations)
         except ValueError as exc:
             raise ConfigError(f"--permutations: {exc}") from None
+    if permutations == "all" and scheme.S > MAX_ALL_PERMUTATIONS_S:
+        raise ConfigError(
+            f"permutations = all would enumerate {scheme.S}! assignments, "
+            f"more than {MAX_ALL_PERMUTATIONS_S}!; pass --permutations"
+        )
     if permutations != "all":
         for pi in permutations:
             if sorted(pi) != list(range(scheme.S)):
@@ -296,8 +301,10 @@ def cmd_selftest(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}")
         failures += 0 if ok else 1
 
+    import itertools
+
     from .gf import FieldSpec, bits_to_symbols
-    from .mds import GrsCode
+    from .mds import GrsCode, MdsFamily
     from .polar import (
         InformationSet,
         PolarTransform,
@@ -318,6 +325,16 @@ def cmd_selftest(args) -> int:
         "mds: completion matches encoding",
         np.array_equal(code.complete({1: 3, 2: 2}), code.encode([1, 1])),
     )
+    binary = MdsFamily(FieldSpec(1), 3)
+    ok = binary.kind == "structured"
+    for d in binary.dims:
+        c = binary.code(d)
+        words = c.encode(list(itertools.product((0, 1), repeat=d)))
+        ok &= all(
+            np.array_equal(c.complete_batch(p, words[:, list(p)]), words)
+            for p in itertools.permutations(range(3), d)
+        )
+    check("mds: GF(2) repetition/parity/whole-space completion", ok)
     z = bec_split_bhattacharyya(0.5, 16)
     zx = [
         chmod.bhattacharyya(split_channel_exact(chmod.bec(0.5), 16, l))
@@ -332,8 +349,6 @@ def cmd_selftest(args) -> int:
         sc_decode(t, full, chmod.bsc(0.0), polar_encode(u)), u
     )
     check("polar: noiseless decode", ok)
-
-    import itertools
 
     def round_trips(sch) -> bool:
         bits = rng.integers(0, 2, sch.info_bit_count)

@@ -3,7 +3,9 @@
 Field elements are integers in [0, 2^m) whose bit i is the coefficient of
 x^i in the polynomial basis.  Addition is XOR; multiplication goes through
 exp/log tables built from a generator of the multiplicative group, so it
-stays cheap for vectorized use by the MDS codes.
+stays cheap for vectorized use by the MDS codes.  log[0] points into a
+zero tail of exp, so exp[log a + log b] is already 0 when a or b is 0 and
+one lookup serves ints and arrays alike.
 """
 
 from __future__ import annotations
@@ -119,13 +121,8 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         q = self.q
-        if self.m == 1:
-            object.__setattr__(self, "_generator", 1)
-            object.__setattr__(self, "_exp", np.array([1, 1], dtype=np.int64))
-            object.__setattr__(self, "_log", np.array([0, 0], dtype=np.int64))
-            return
         gen = 0
-        for g in range(2, q):
+        for g in range(1, q):  # 1 generates only GF(2)'s group
             if self._order(g) == q - 1:
                 gen = g
                 break
@@ -133,14 +130,16 @@ class FieldSpec:
             raise ValueError(
                 f"no generator found; 0b{self.primitive_poly:b} may be reducible"
             )
-        exp = np.zeros(2 * (q - 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
+        # exp[i] = gen^i for i < 2(q-1), then zeros far enough that
+        # log[0] + log[0] = 4(q-1) still lands in them
+        exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        log = np.full(q, 2 * (q - 1), dtype=np.int64)
         x = 1
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
             x = _polymul_mod(x, gen, self.primitive_poly, self.m)
-        exp[q - 1:] = exp[: q - 1]
+        exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
         object.__setattr__(self, "_generator", gen)
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
@@ -157,82 +156,29 @@ class FieldSpec:
         return a ^ b
 
     def mul(self, a, b):
-        """Field multiplication; works on ints and integer arrays."""
+        """Field multiplication; works on ints and broadcasting integer
+        arrays.  Two ints are range-checked and give an int."""
         if np.isscalar(a) and np.isscalar(b):
-            if a == 0 or b == 0:
-                return 0
             self._check_range(a)
             self._check_range(b)
             return int(self._exp[self._log[a] + self._log[b]])
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        out[nz] = self._exp[self._log[a[nz]] + self._log[b[nz]]]
-        return out
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of a nonzero element."""
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^m)")
         self._check_range(a)
-        if self.m == 1:
-            return 1
         return int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 0 if e > 0 else 1
-        if self.m == 1:
-            return 1
         return int(self._exp[(self._log[a] * e) % (self.q - 1)])
 
     def _check_range(self, a) -> None:
         if np.any(np.asarray(a) < 0) or np.any(np.asarray(a) >= self.q):
             raise ValueError(f"value out of range for GF(2^{self.m})")
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(int(value), self)
-
-    def elements(self):
-        return [FieldElement(v, self) for v in range(self.q)]
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single GF(2^m) value tied to its FieldSpec."""
-
-    value: int
-    spec: FieldSpec
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.spec.q:
-            raise ValueError(
-                f"value {self.value} out of range for GF(2^{self.spec.m})"
-            )
-
-    def _coerce(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError("expected a FieldElement")
-        if other.spec != self.spec:
-            raise ValueError("operands belong to different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._coerce(other)
-        return FieldElement(self.value ^ other.value, self.spec)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._coerce(other)
-        return FieldElement(self.spec.mul(self.value, other.value), self.spec)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.spec.inv(self.value), self.spec)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def bits_to_symbols(bits, spec: FieldSpec) -> np.ndarray:

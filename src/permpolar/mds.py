@@ -1,15 +1,16 @@
 """MDS codes of length S over GF(2^m) with any-k-symbols completion.
 
-Two families live here.  GrsCode is the plain evaluation code (all-one
-column multipliers, message symbols are polynomial coefficients); it
-exists whenever the field has at least S nonzero elements and covers every
-dimension.  For GF(2) -- where no length>3 evaluation code exists -- the
-classical binary MDS codes (repetition, single parity check, whole space)
-are provided with the same interface.
+One class, MdsCode, holds any linear code by its k x S generator matrix G.
+Completion is the only decoding the parallel schemes need: the symbols at
+k positions P fix the codeword as values . G_P^-1 . G, where G_P is the
+set of G's columns at P.  For an MDS code every such G_P is invertible.
 
-Every code supports `complete`: reconstructing the unique codeword from
-exactly `dim` known symbol positions.  That is the only decoding the
-parallel schemes ever need; there is no error-correction decoder here.
+GrsCode builds the plain evaluation (Vandermonde) generator, which exists
+whenever the field has at least S nonzero elements and covers every
+dimension.  Over smaller fields -- GF(2) above all, where no length>3
+evaluation code exists -- MdsFamily falls back to the classical MDS
+codes: repetition [1...1], single parity check [I | 1] and the whole
+space I.
 """
 
 from __future__ import annotations
@@ -19,94 +20,62 @@ import numpy as np
 from .gf import FieldSpec
 
 
-class GrsCode:
-    """Evaluation code of length S and dimension k over GF(2^m).
+class MdsCode:
+    """Linear code over GF(2^m) given by a k x S generator matrix.
 
-    Codeword j-th symbol is p(alpha_j) for the degree-<k message
-    polynomial p.  Default evaluation points are the first S powers of
-    the group generator, so codewords are reproducible across runs.
-
-    Parameters
-    ----------
-    spec : FieldSpec
-    length : int
-        Block length S; requires S <= 2^m - 1 under default points.
-    dim : int
-        Dimension k in [1, S].
-    eval_points : sequence of int, optional
-        S distinct field elements; defaults to (alpha^0, ..., alpha^{S-1}).
+    Codewords are message . G.  `complete_batch` assumes the columns of G
+    at the known positions are independent, which holds for every set of
+    k positions exactly when the code is MDS.
     """
 
-    def __init__(self, spec: FieldSpec, length: int, dim: int, eval_points=None):
-        if not 1 <= dim <= length:
-            raise ValueError(f"dimension {dim} not in [1, {length}]")
-        if eval_points is None:
-            if length > spec.q - 1:
-                raise ValueError(
-                    f"length {length} exceeds {spec.q - 1} distinct generator powers"
-                )
-            eval_points = [spec.pow(spec.generator, i) for i in range(length)]
-        eval_points = np.asarray([int(p) for p in eval_points], dtype=np.int64)
-        if len(eval_points) != length:
-            raise ValueError("need one evaluation point per position")
-        spec._check_range(eval_points)
-        if len(set(eval_points.tolist())) != length:
-            raise ValueError("evaluation points must be distinct")
+    def __init__(self, spec: FieldSpec, generator):
+        generator = np.array(generator, dtype=np.int64)
+        if generator.ndim != 2 or not 1 <= len(generator) <= generator.shape[1]:
+            raise ValueError("generator must be a k x S matrix with 1 <= k <= S")
+        spec._check_range(generator)
+        generator.flags.writeable = False  # the completion tables derive from it
         self.spec = spec
-        self.length = length
-        self.dim = dim
-        self.eval_points = eval_points
-        # power matrix P[j, p] = alpha_p^j used by encode
-        P = np.zeros((dim, length), dtype=np.int64)
-        for j in range(dim):
-            for p in range(length):
-                P[j, p] = spec.pow(int(eval_points[p]), j)
-        self._powers = P
-        self._basis_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self.generator = generator
+        self.dim, self.length = generator.shape
+        # positions -> (k, q, S) table of every value times G_P^-1 . G
+        self._tables: dict[tuple[int, ...], np.ndarray] = {}
 
     def __repr__(self):
-        return f"GrsCode(GF(2^{self.spec.m}), S={self.length}, k={self.dim})"
+        return f"MdsCode(GF(2^{self.spec.m}), S={self.length}, k={self.dim})"
 
     def encode(self, message) -> np.ndarray:
-        """Evaluate the message polynomial at all S points.
-
-        `message` holds the k coefficients (constant term first) on its
-        last axis; batching over leading axes is supported.
-        """
+        """message . G; `message` holds k symbols on its last axis, and
+        batching over leading axes is supported."""
         message = np.asarray(message, dtype=np.int64)
         if message.shape[-1] != self.dim:
             raise ValueError(
                 f"message length {message.shape[-1]} != dimension {self.dim}"
             )
-        out = np.zeros(message.shape[:-1] + (self.length,), dtype=np.int64)
-        for j in range(self.dim):
-            out ^= self.spec.mul(message[..., j : j + 1], self._powers[j])
-        return out
+        products = self.spec.mul(message[..., :, None], self.generator)
+        return np.bitwise_xor.reduce(products, axis=-2)
 
-    def _lagrange_basis(self, positions: tuple[int, ...]) -> np.ndarray:
-        """k x S matrix L with L[j, p] = l_j(alpha_p) for the Lagrange
-        basis through the given positions."""
-        cached = self._basis_cache.get(positions)
-        if cached is not None:
-            return cached
-        sp = self.spec
-        pts = [int(self.eval_points[t]) for t in positions]
-        L = np.zeros((self.dim, self.length), dtype=np.int64)
-        for j, xj in enumerate(pts):
-            denom = 1
-            for i, xi in enumerate(pts):
-                if i != j:
-                    denom = sp.mul(denom, xj ^ xi)
-            dinv = sp.inv(denom)
-            for p in range(self.length):
-                xp = int(self.eval_points[p])
-                num = 1
-                for i, xi in enumerate(pts):
-                    if i != j:
-                        num = sp.mul(num, xp ^ xi)
-                L[j, p] = sp.mul(num, dinv)
-        self._basis_cache[positions] = L
-        return L
+    def _table(self, positions: tuple[int, ...]) -> np.ndarray:
+        """Gauss-Jordan on [G_P | G] gives G_P^-1 . G; row j of it, times
+        every field value, is table[j]."""
+        table = self._tables.get(positions)
+        if table is not None:
+            return table
+        sp, k = self.spec, self.dim
+        rows = np.concatenate([self.generator[:, positions], self.generator], axis=1)
+        for c in range(k):
+            pivots = np.flatnonzero(rows[c:, c])
+            if not len(pivots):
+                raise ValueError(
+                    f"generator columns at positions {positions} are dependent"
+                )
+            rows[[c, c + pivots[0]]] = rows[[c + pivots[0], c]]
+            rows[c] = sp.mul(rows[c], sp.inv(int(rows[c, c])))
+            factors = rows[:, c].copy()
+            factors[c] = 0
+            rows ^= sp.mul(factors[:, None], rows[c])
+        table = sp.mul(np.arange(sp.q)[:, None], rows[:, None, k:])
+        self._tables[positions] = table
+        return table
 
     def complete_batch(self, positions, values) -> np.ndarray:
         """Complete codewords from symbols at `positions` (one per dim).
@@ -126,158 +95,82 @@ class GrsCode:
         values = np.asarray(values, dtype=np.int64)
         if values.shape[-1] != self.dim:
             raise ValueError("one value per known position required")
-        basis = self._lagrange_basis(positions)
-        out = np.zeros(values.shape[:-1] + (self.length,), dtype=np.int64)
-        for j in range(self.dim):
-            out ^= self.spec.mul(values[..., j : j + 1], basis[j])
+        table = self._table(positions)
+        out = np.take(table[0], values[..., 0], axis=0)
+        for j in range(1, self.dim):
+            out ^= np.take(table[j], values[..., j], axis=0)
         return out
 
     def complete(self, known) -> np.ndarray:
         """Complete a single codeword from a {position: symbol} mapping."""
         positions = sorted(known)
-        values = [known[t] for t in positions]
-        return self.complete_batch(positions, values)
+        return self.complete_batch(positions, [known[t] for t in positions])
 
-    def shorten(self, target_length: int) -> "GrsCode":
-        """Drop trailing positions, keeping an MDS code of the new length."""
-        if target_length > self.length:
-            raise ValueError("cannot shorten to a longer code")
-        if target_length < self.dim:
+
+def GrsCode(spec: FieldSpec, length: int, dim: int, eval_points=None) -> MdsCode:
+    """Evaluation code of length S and dimension k over GF(2^m).
+
+    Codeword j-th symbol is p(alpha_j) for the degree-<k message
+    polynomial p, whose k coefficients (constant term first) are the
+    message.  Default evaluation points are the first S powers of the
+    group generator, so codewords are reproducible across runs; with
+    them, every dimension's generator is the top rows of the same
+    Vandermonde matrix.
+
+    Parameters
+    ----------
+    spec : FieldSpec
+    length : int
+        Block length S; requires S <= 2^m - 1 under default points.
+    dim : int
+        Dimension k in [1, S].
+    eval_points : sequence of int, optional
+        S distinct field elements; defaults to (alpha^0, ..., alpha^{S-1}).
+    """
+    if not 1 <= dim <= length:
+        raise ValueError(f"dimension {dim} not in [1, {length}]")
+    if eval_points is None:
+        if length > spec.q - 1:
             raise ValueError(
-                f"target length {target_length} below dimension {self.dim}"
+                f"length {length} exceeds {spec.q - 1} distinct generator powers"
             )
-        if target_length == self.length:
-            return self
-        return GrsCode(
-            self.spec, target_length, self.dim, self.eval_points[:target_length]
-        )
-
-
-class RepetitionCode:
-    """(S, 1) repetition code over any GF(2^m)."""
-
-    def __init__(self, spec: FieldSpec, length: int):
-        self.spec = spec
-        self.length = length
-        self.dim = 1
-
-    def encode(self, message) -> np.ndarray:
-        message = np.asarray(message, dtype=np.int64)
-        if message.shape[-1] != 1:
-            raise ValueError("repetition code takes a single symbol")
-        return np.repeat(message, self.length, axis=-1)
-
-    def complete_batch(self, positions, values) -> np.ndarray:
-        positions = tuple(positions)
-        if len(positions) != 1:
-            raise ValueError("repetition completion needs exactly one symbol")
-        if not 0 <= positions[0] < self.length:
-            raise ValueError("position out of range")
-        return self.encode(np.asarray(values, dtype=np.int64))
-
-    def complete(self, known) -> np.ndarray:
-        positions = sorted(known)
-        return self.complete_batch(positions, [known[t] for t in positions])
-
-
-class ParityCheckCode:
-    """(S, S-1) single parity check code: symbols XOR to zero."""
-
-    def __init__(self, spec: FieldSpec, length: int):
-        if length < 2:
-            raise ValueError("parity check code needs length >= 2")
-        self.spec = spec
-        self.length = length
-        self.dim = length - 1
-
-    def encode(self, message) -> np.ndarray:
-        message = np.asarray(message, dtype=np.int64)
-        if message.shape[-1] != self.dim:
-            raise ValueError(f"message length must be {self.dim}")
-        parity = np.bitwise_xor.reduce(message, axis=-1, keepdims=True)
-        return np.concatenate([message, parity], axis=-1)
-
-    def complete_batch(self, positions, values) -> np.ndarray:
-        positions = tuple(int(t) for t in positions)
-        if len(positions) != self.dim or len(set(positions)) != self.dim:
-            raise ValueError(f"need exactly {self.dim} distinct positions")
-        if any(not 0 <= t < self.length for t in positions):
-            raise ValueError("position out of range")
-        values = np.asarray(values, dtype=np.int64)
-        if values.shape[-1] != self.dim:
-            raise ValueError("one value per known position required")
-        missing = (set(range(self.length)) - set(positions)).pop()
-        out = np.zeros(values.shape[:-1] + (self.length,), dtype=np.int64)
-        for j, t in enumerate(positions):
-            out[..., t] = values[..., j]
-        out[..., missing] = np.bitwise_xor.reduce(values, axis=-1)
-        return out
-
-    def complete(self, known) -> np.ndarray:
-        positions = sorted(known)
-        return self.complete_batch(positions, [known[t] for t in positions])
-
-
-class WholeSpaceCode:
-    """(S, S) code: every vector is a codeword."""
-
-    def __init__(self, spec: FieldSpec, length: int):
-        self.spec = spec
-        self.length = length
-        self.dim = length
-
-    def encode(self, message) -> np.ndarray:
-        message = np.asarray(message, dtype=np.int64)
-        if message.shape[-1] != self.length:
-            raise ValueError(f"message length must be {self.length}")
-        return message.copy()
-
-    def complete_batch(self, positions, values) -> np.ndarray:
-        positions = tuple(int(t) for t in positions)
-        if sorted(positions) != list(range(self.length)):
-            raise ValueError("whole-space completion needs all positions")
-        values = np.asarray(values, dtype=np.int64)
-        out = np.zeros(values.shape[:-1] + (self.length,), dtype=np.int64)
-        for j, t in enumerate(positions):
-            out[..., t] = values[..., j]
-        return out
-
-    def complete(self, known) -> np.ndarray:
-        positions = sorted(known)
-        return self.complete_batch(positions, [known[t] for t in positions])
+        eval_points = [spec.pow(spec.generator, i) for i in range(length)]
+    eval_points = [int(p) for p in eval_points]
+    if len(eval_points) != length:
+        raise ValueError("need one evaluation point per position")
+    spec._check_range(eval_points)
+    if len(set(eval_points)) != length:
+        raise ValueError("evaluation points must be distinct")
+    return MdsCode(spec, [[spec.pow(x, j) for x in eval_points] for j in range(dim)])
 
 
 class MdsFamily:
     """The per-dimension code family {C_d : d in [1, S]} used by the
-    parallel schemes.  All members share one FieldSpec and, in the GRS
-    case, one evaluation point set."""
+    parallel schemes.  All members share one FieldSpec and, when `kind` is
+    "grs", one set of evaluation points; a "structured" family has only
+    dimensions 1, S-1 and S."""
 
     def __init__(self, spec: FieldSpec, length: int):
         self.spec = spec
         self.length = length
-        self._codes: dict[int, object] = {}
         if spec.q - 1 >= length:
-            self._kind = "grs"
-            points = [spec.pow(spec.generator, i) for i in range(length)]
-            for d in range(1, length + 1):
-                self._codes[d] = GrsCode(spec, length, d, points)
+            self.kind = "grs"
+            self._codes = {d: GrsCode(spec, length, d) for d in range(1, length + 1)}
         else:
-            # Only the classical MDS codes exist; enough for small S.
-            self._kind = "structured"
-            self._codes[1] = RepetitionCode(spec, length)
-            if length >= 2:
-                self._codes[length - 1] = ParityCheckCode(spec, length)
-            self._codes[length] = WholeSpaceCode(spec, length)
-
-    @property
-    def kind(self) -> str:
-        return self._kind
+            self.kind = "structured"
+            eye = np.eye(length, dtype=np.int64)
+            generators = {
+                1: np.ones((1, length)),
+                length - 1: np.hstack([eye[:-1, :-1], np.ones((length - 1, 1))]),
+                length: eye,
+            }
+            self._codes = {d: MdsCode(spec, g) for d, g in generators.items()}
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(sorted(self._codes))
 
-    def code(self, dim: int):
+    def code(self, dim: int) -> MdsCode:
         try:
             return self._codes[dim]
         except KeyError:
@@ -285,8 +178,3 @@ class MdsFamily:
                 f"no MDS code of dimension {dim} and length {self.length} "
                 f"over GF(2^{self.spec.m}); available dims: {self.dims}"
             ) from None
-
-
-def mds_family(spec: FieldSpec, length: int) -> MdsFamily:
-    """Build the shared code family for block length `length`."""
-    return MdsFamily(spec, length)

@@ -30,7 +30,7 @@ from .channel import (
     product_power,
 )
 from .gf import FieldSpec, bits_to_symbols, symbols_to_bits
-from .mds import MdsFamily, mds_family
+from .mds import MdsFamily
 from .polar import (
     InformationSet,
     ScDecoder,
@@ -38,6 +38,7 @@ from .polar import (
     list_decode,
     monotone_info_sets,
     polar_encode,
+    select_info_set,
     symbol_erasure_split_reliability,
 )
 
@@ -166,7 +167,7 @@ class DegradedScheme:
         self.n = n
         self.m = m
         self.field = field
-        self.family: MdsFamily = mds_family(field, s_count)
+        self.family: MdsFamily = MdsFamily(field, s_count)
         self.b = b
         self.list_size = int(list_size)
         # layer j index block: sets[j] minus sets[j+1] (empty set past the end)
@@ -402,7 +403,7 @@ class CoupledScheme:
         self.n = n
         self.m = m
         self.field = FieldSpec(m, field_poly)
-        self.family: MdsFamily = mds_family(self.field, self.S)
+        self.family: MdsFamily = MdsFamily(self.field, self.S)
         # each index's support (the channels whose sets hold it), and the
         # indices that share each nonempty support: encoding completes a
         # whole group in one call
@@ -570,15 +571,8 @@ class NonBinaryScheme(CoupledScheme):
             if eps is None:
                 eps = bhattacharyya(ch)
             z = symbol_erasure_split_reliability(eps, m, n)
-            if threshold is not None:
-                chosen = [int(i) for i in np.flatnonzero(z <= threshold)]
-            else:
-                if rates[idx] > 1.0 or rates[idx] < 0.0:
-                    raise ValueError(f"rate {rates[idx]} not in [0, 1]")
-                size = int(np.floor(n * rates[idx]))
-                order = np.argsort(z, kind="stable")
-                chosen = sorted(int(i) for i in order[:size])
-            sets.append(InformationSet(n, tuple(chosen)))
+            rate = None if rates is None else rates[idx]
+            sets.append(select_info_set(z, rate, threshold))
         return cls(channels, sets, m)
 
     def _layout(self, planes: np.ndarray) -> np.ndarray:

@@ -277,9 +277,20 @@ def _construction_values(ch: DiscreteChannel, n: int, method: str) -> np.ndarray
     return bec_split_bhattacharyya(eps, n)
 
 
-def _select_smallest(z: np.ndarray, size: int) -> list[int]:
+def select_info_set(z, rate=None, threshold=None) -> InformationSet:
+    """The indices with the smallest of the n reliability figures `z`.
+
+    With `threshold`, every index whose figure is <= threshold; otherwise
+    the floor(n * rate) smallest, ties going to the lower index.
+    """
+    if threshold is not None:
+        size = int(np.count_nonzero(z <= threshold))
+    else:
+        if rate > 1.0 or rate < 0.0:
+            raise ValueError(f"rate {rate} not in [0, 1]")
+        size = int(np.floor(len(z) * rate))
     order = np.argsort(z, kind="stable")
-    return sorted(int(i) for i in order[:size])
+    return InformationSet(len(z), tuple(sorted(int(i) for i in order[:size])))
 
 
 def build_info_set(
@@ -296,14 +307,7 @@ def build_info_set(
     """
     if (rate is None) == (threshold is None):
         raise ValueError("specify exactly one of rate and threshold")
-    z = _construction_values(ch, n, method)
-    if rate is not None:
-        if rate > 1.0 or rate < 0.0:
-            raise ValueError(f"rate {rate} not in [0, 1]")
-        chosen = _select_smallest(z, int(np.floor(n * rate)))
-    else:
-        chosen = [int(i) for i in np.flatnonzero(z <= threshold)]
-    return InformationSet(n, tuple(sorted(chosen)))
+    return select_info_set(_construction_values(ch, n, method), rate, threshold)
 
 
 def monotone_info_sets(

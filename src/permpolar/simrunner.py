@@ -18,6 +18,7 @@ import numpy as np
 from .channel import DiscreteChannel
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+MAX_ALL_PERMUTATIONS_S = 6  # permutations="all" enumerates at most 6! = 720
 
 
 @dataclass(frozen=True)
@@ -165,10 +166,10 @@ def evaluate(
     channels = list(channels) if channels is not None else list(scheme.channels)
     s_count = len(channels)
     if permutations == "all":
-        if s_count > 6:
+        if s_count > MAX_ALL_PERMUTATIONS_S:
             raise ValueError(
-                "refusing to enumerate more than 6! permutations; "
-                "pass an explicit list"
+                f"refusing to enumerate more than {MAX_ALL_PERMUTATIONS_S}! "
+                "permutations; pass an explicit list"
             )
         perm_list = [tuple(p) for p in _all_permutations(range(s_count))]
     else:

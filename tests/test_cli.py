@@ -191,15 +191,23 @@ def test_selftest_passes(capsys):
         "malformed-manifest",
         "zero-trials",
         "zero-workers",
+        "seven-channels-all-permutations",
     ],
 )
 def test_simulate_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
-    cfg_text = BASE_CFG
+    base = BASE_CFG
+    if case == "seven-channels-all-permutations":
+        base = (
+            "scheme = degraded\nchannels =" + " bec:0.1" * 7 + "\nn = 8\n"
+            "rates =" + " 0.5" * 7 + "\ntrials = 10\nseed = 1\n"
+            "permutations = all\n"
+        )
+    cfg_text = base
     if case == "negative-seed-config":
         cfg_text = BASE_CFG.replace("seed = 123", "seed = -1")
     cfg = write(tmp_path, "exp.cfg", cfg_text)
     man = str(tmp_path / "scheme.txt")
-    assert main(["construct", "--config", write(tmp_path, "c.cfg", BASE_CFG),
+    assert main(["construct", "--config", write(tmp_path, "c.cfg", base),
                  "--out", man]) == 0
     if case == "missing-manifest":
         man = str(tmp_path / "absent.txt")

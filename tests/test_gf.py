@@ -3,12 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from permpolar.gf import (
-    FieldElement,
-    FieldSpec,
-    bits_to_symbols,
-    symbols_to_bits,
-)
+from permpolar.gf import FieldSpec, bits_to_symbols, symbols_to_bits
 
 
 def poly_mul_oracle(a, b, poly, m):
@@ -43,6 +38,23 @@ def test_unique_inverses_exhaustive(m):
         assert f.mul(a, inv) == 1
         # uniqueness
         assert sum(1 for b in range(1, f.q) if f.mul(a, b) == 1) == 1
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_array_mul_equals_scalar_mul_exhaustive(m):
+    f = FieldSpec(m)
+    a, b = np.meshgrid(np.arange(f.q), np.arange(f.q), indexing="ij")
+    table = f.mul(a, b)
+    assert table.dtype == np.int64
+    assert not table[0].any() and not table[:, 0].any()
+    assert np.array_equal(table[1], np.arange(f.q))
+    for x, y in itertools.product(range(f.q), repeat=2):
+        assert table[x, y] == f.mul(x, y)
+    # broadcasting a column against a row gives the same table
+    assert np.array_equal(f.mul(np.arange(f.q)[:, None], np.arange(f.q)), table)
+    assert np.array_equal(f.mul(3 % f.q, np.arange(f.q)), table[3 % f.q])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -92,22 +104,12 @@ def test_irreducible_but_nonprimitive_polynomial_works():
     assert len(seen) == f.q - 1
 
 
-def test_field_element_ops_and_spec_mismatch():
-    f4 = FieldSpec(2)
-    f8 = FieldSpec(3)
-    a = FieldElement(2, f4)
-    b = FieldElement(3, f4)
-    assert (a + b).value == 1
-    assert (a * b).value == 1
-    assert (a * a.inv()).value == 1
+def test_scalar_mul_range_checked():
+    f = FieldSpec(2)
     with pytest.raises(ValueError):
-        a + FieldElement(3, f8)
+        f.mul(4, 1)
     with pytest.raises(ValueError):
-        a * FieldElement(3, f8)
-    with pytest.raises(ValueError):
-        FieldElement(4, f4)
-    with pytest.raises(ZeroDivisionError):
-        FieldElement(0, f4).inv()
+        f.mul(0, -1)
 
 
 def test_bit_packing_examples():

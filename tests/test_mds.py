@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from permpolar.gf import FieldSpec
-from permpolar.mds import (
-    GrsCode,
-    MdsFamily,
-    ParityCheckCode,
-    RepetitionCode,
-    WholeSpaceCode,
-    mds_family,
-)
+from permpolar.mds import GrsCode, MdsCode, MdsFamily
 
 F4 = FieldSpec(2)
 F8 = FieldSpec(3)
@@ -72,7 +65,7 @@ def test_complete_example_values():
 
 
 def test_parity_check_completion():
-    spc = ParityCheckCode(F8, 4)
+    spc = MdsCode(F8, np.hstack([np.eye(3, dtype=int), np.ones((3, 1), dtype=int)]))
     a, b, d = 3, 5, 6
     out = spc.complete({0: a, 1: b, 3: d})
     assert out[2] == a ^ b ^ d
@@ -126,52 +119,66 @@ def test_minimum_distance_is_singleton(spec, length, dim):
     assert min_distance(code) == length - dim + 1
 
 
-def test_shorten_keeps_mds():
-    rs = GrsCode(F8, 7, 2)
-    short = rs.shorten(5)
-    assert (short.length, short.dim) == (5, 2)
-    assert min_distance(short) == 4
-    assert short.shorten(5) is short
-    tiny = GrsCode(F4, 3, 2).shorten(2)
-    assert (tiny.length, tiny.dim) == (2, 2)
-    assert min_distance(tiny) == 1
-    with pytest.raises(ValueError):
-        rs.shorten(1)
-    with pytest.raises(ValueError):
-        rs.shorten(9)
-
-
-def test_shortened_code_is_prefix_of_parent():
-    rs = GrsCode(F8, 7, 3)
-    short = rs.shorten(5)
-    for msg in [(1, 2, 3), (7, 0, 5)]:
-        assert np.array_equal(rs.encode(list(msg))[:5], short.encode(list(msg)))
-
-
 def test_structured_binary_codes():
-    f2 = FieldSpec(1)
-    rep = RepetitionCode(f2, 3)
-    assert np.array_equal(rep.complete({1: 1}), [1, 1, 1])
-    spc = ParityCheckCode(f2, 3)
-    assert np.array_equal(spc.complete({0: 1, 1: 1}), [1, 1, 0])
-    whole = WholeSpaceCode(f2, 3)
-    assert np.array_equal(whole.complete({0: 1, 1: 0, 2: 1}), [1, 0, 1])
+    fam = MdsFamily(FieldSpec(1), 3)
+    assert np.array_equal(fam.code(1).complete({1: 1}), [1, 1, 1])
+    assert np.array_equal(fam.code(2).complete({0: 1, 1: 1}), [1, 1, 0])
+    assert np.array_equal(fam.code(3).complete({0: 1, 1: 0, 2: 1}), [1, 0, 1])
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 5, 6])
+def test_structured_binary_completion_exhaustive(length):
+    """Every codeword, rebuilt from every position subset, against the
+    codes' own definitions: constant words, even-weight words, all words."""
+    fam = MdsFamily(FieldSpec(1), length)
+    assert fam.kind == "structured"
+    words = np.array(list(itertools.product((0, 1), repeat=length)))
+    members = {
+        1: words[np.all(words == words[:, :1], axis=1)],
+        length - 1: words[words.sum(axis=1) % 2 == 0],
+        length: words,
+    }
+    assert fam.dims == tuple(sorted(members))
+    for dim, cws in members.items():
+        code = fam.code(dim)
+        assert len(cws) == 2**dim
+        for subset in itertools.permutations(range(length), dim):
+            rebuilt = code.complete_batch(subset, cws[:, list(subset)])
+            assert np.array_equal(rebuilt, cws)
+
+
+def test_dependent_generator_columns_rejected():
+    code = MdsCode(F4, [[1, 1, 0], [2, 2, 1]])
+    with pytest.raises(ValueError, match="dependent"):
+        code.complete({0: 1, 1: 1})
+    cw = code.encode([3, 2])
+    assert np.array_equal(code.complete({0: int(cw[0]), 2: int(cw[2])}), cw)
+
+
+def test_generator_shape_and_range_checked():
+    with pytest.raises(ValueError):
+        MdsCode(F4, [[1, 2], [3, 1], [1, 1]])
+    with pytest.raises(ValueError):
+        MdsCode(F4, [1, 2, 3])
+    with pytest.raises(ValueError):
+        MdsCode(F4, [[1, 4, 1]])
 
 
 def test_family_grs_when_field_allows():
-    fam = mds_family(F4, 3)
+    fam = MdsFamily(F4, 3)
     assert fam.kind == "grs"
     assert fam.dims == (1, 2, 3)
     # shared evaluation points across dimensions
-    assert np.array_equal(fam.code(1).eval_points, fam.code(3).eval_points)
+    for d in fam.dims:
+        assert np.array_equal(fam.code(d).generator, fam.code(3).generator[:d])
 
 
 def test_family_structured_over_gf2():
-    fam = mds_family(FieldSpec(1), 3)
+    fam = MdsFamily(FieldSpec(1), 3)
     assert fam.kind == "structured"
     assert fam.dims == (1, 2, 3)
     with pytest.raises(ValueError):
-        mds_family(FieldSpec(1), 5).code(2)
+        MdsFamily(FieldSpec(1), 5).code(2)
 
 
 def test_family_codes_complete_roundtrip():
