@@ -349,6 +349,19 @@ def cmd_selftest(args) -> int:
         sc_decode(t, full, chmod.bsc(0.0), polar_encode(u)), u
     )
     check("polar: noiseless decode", ok)
+    # erasure likelihoods normalize to 0, 1/2 and 1, exact in floats
+    ok = True
+    for _ in range(20):
+        u = rng.integers(0, 2, 16)
+        info = InformationSet(16, tuple(np.flatnonzero(rng.random(16) < 0.6)))
+        y = np.where(rng.random(16) < 0.4, 2, polar_encode(u))
+        args = (t, info, chmod.bec(0.4), y, lambda i, p: u[i])
+        ok &= np.array_equal(sc_decode(*args), sc_decode(*args, exact=True))
+    u = rng.integers(0, 4, 16)
+    quad = chmod.q_ary_symmetric(4, 0.0)
+    args = (PolarTransform(16, f4), full, quad, polar_encode(u))
+    ok &= all(np.array_equal(sc_decode(*args, exact=e), u) for e in (False, True))
+    check("polar: float SC equals exact-rational SC", ok)
 
     def round_trips(sch) -> bool:
         bits = rng.integers(0, 2, sch.info_bit_count)

@@ -46,17 +46,22 @@ def _check_power_of_two(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _butterflies(x: np.ndarray) -> np.ndarray:
+    """Apply the polar transform in place along the last axis."""
+    n = x.shape[-1]
+    h = 1
+    while h < n:
+        pairs = x.reshape(x.shape[:-1] + (n // (2 * h), 2, h))
+        pairs[..., 0, :] ^= pairs[..., 1, :]
+        h *= 2
+    return x
+
+
 def polar_encode(u) -> np.ndarray:
     """Apply the polar transform along the last axis (self-inverse)."""
     x = np.array(u, dtype=np.int64)
-    n = x.shape[-1]
-    _check_power_of_two(n)
-    h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            x[..., start : start + h] ^= x[..., start + h : start + 2 * h]
-        h *= 2
-    return x
+    _check_power_of_two(x.shape[-1])
+    return _butterflies(x)
 
 
 @dataclass(frozen=True)
@@ -277,18 +282,22 @@ def _construction_values(ch: DiscreteChannel, n: int, method: str) -> np.ndarray
     return bec_split_bhattacharyya(eps, n)
 
 
+def _set_size(z, rate, threshold) -> int:
+    """The set size: the figures <= threshold, or floor(len(z) * rate)."""
+    if threshold is not None:
+        return int(np.count_nonzero(z <= threshold))
+    if rate > 1.0 or rate < 0.0:
+        raise ValueError(f"rate {rate} not in [0, 1]")
+    return int(np.floor(len(z) * rate))
+
+
 def select_info_set(z, rate=None, threshold=None) -> InformationSet:
     """The indices with the smallest of the n reliability figures `z`.
 
     With `threshold`, every index whose figure is <= threshold; otherwise
     the floor(n * rate) smallest, ties going to the lower index.
     """
-    if threshold is not None:
-        size = int(np.count_nonzero(z <= threshold))
-    else:
-        if rate > 1.0 or rate < 0.0:
-            raise ValueError(f"rate {rate} not in [0, 1]")
-        size = int(np.floor(len(z) * rate))
+    size = _set_size(z, rate, threshold)
     order = np.argsort(z, kind="stable")
     return InformationSet(len(z), tuple(sorted(int(i) for i in order[:size])))
 
@@ -346,12 +355,7 @@ def monotone_info_sets(
     prev: set[int] = set()
     for s in range(s_count - 1, -1, -1):
         z = zs[s]
-        if threshold is not None:
-            size = int(np.count_nonzero(z <= threshold))
-        else:
-            if rates[s] > 1.0 or rates[s] < 0.0:
-                raise ValueError(f"rate {rates[s]} not in [0, 1]")
-            size = int(np.floor(n * rates[s]))
+        size = _set_size(z, None if rates is None else rates[s], threshold)
         size -= size % size_multiple
         if size < len(prev):
             raise ValueError(
@@ -374,69 +378,26 @@ def monotone_info_sets(
 # ---------------------------------------------------------------------------
 
 
-def _normalize(L: np.ndarray) -> np.ndarray:
-    if L.dtype == object:
-        # exact mode: scaling is unnecessary and normalization would only
-        # grow the rationals
-        return L
-    s = L.sum(axis=-1, keepdims=True)
-    s[s == 0.0] = 1.0
-    return L / s
-
-
-def _combine_minus(L1: np.ndarray, L2: np.ndarray) -> np.ndarray:
-    q = L1.shape[-1]
-    out = np.zeros(L1.shape, dtype=L1.dtype)
-    for v in range(q):
-        acc = out[:, :, v]
-        for c in range(q):
-            acc += L1[:, :, v ^ c] * L2[:, :, c]
-    return _normalize(out)
-
-
-def _combine_plus(L1: np.ndarray, L2: np.ndarray, a: np.ndarray) -> np.ndarray:
-    q = L1.shape[-1]
-    out = np.zeros(L1.shape, dtype=L1.dtype)
-    for x in range(q):
-        picked = np.take_along_axis(L1, (a ^ x)[:, :, None], axis=2)[:, :, 0]
-        out[:, :, x] = picked * L2[:, :, x]
-    return _normalize(out)
-
-
-def _sc_leaves(L: np.ndarray):
-    """Recursive likelihood stream.
-
-    Yields the (batch, q) likelihood vector of each input index in order;
-    the driver sends back the decided symbols, and the generator returns
-    the re-encoded codeword of its block.
-    """
-    batch, size, q = L.shape
-    if size == 1:
-        decided = yield L[:, 0, :]
-        return decided.reshape(batch, 1)
-    half = size // 2
-    first, second = L[:, :half], L[:, half:]
-    left = yield from _sc_leaves(_combine_minus(first, second))
-    right = yield from _sc_leaves(_combine_plus(first, second, left))
-    return np.concatenate([left ^ right, right], axis=1)
-
-
 class ScDecoder:
     """Stepwise successive cancellation decoder over a batch of words.
 
     Indices must be visited in order 0..n-1; each is either decided from
     the split-channel likelihoods (`decide`) or supplied externally
     (`inject`), which is how frozen symbols resolved mid-decode enter.
-    Total work is O(n log n) likelihood combines per word.
+
+    The decoder is lazy.  Depth d of the code tree holds one node's
+    likelihoods as a (q, rows, n >> d) buffer.  `inject` only records
+    symbols; `decide` computes the nodes on the path to its leaf below the
+    deepest one that the previous decided index shares, a right child from
+    its parent and its re-encoded left sibling.  A subtree whose indices
+    were all injected is never computed.  Work is O(n log n) per word.
 
     With `exact=True` all arithmetic runs on rationals, so likelihood ties
     are broken exactly (ties resolve to the smallest symbol value).
     """
 
     def __init__(self, channel: DiscreteChannel, received, exact: bool = False):
-        received = np.asarray(received, dtype=np.int64)
-        if received.ndim == 1:
-            received = received[None, :]
+        received = np.atleast_2d(np.asarray(received, dtype=np.int64))
         if received.ndim != 2:
             raise ValueError("received must be a vector or a batch of vectors")
         batch, n = received.shape
@@ -447,49 +408,77 @@ class ScDecoder:
         _check_power_of_two(q)
         w = channel.transitions
         if exact:
-            w = np.array(
-                [[Fraction(p) for p in row] for row in w], dtype=object
-            )
-        self.n = n
-        self.q = q
-        self.batch = batch
+            w = np.array([[Fraction(p) for p in row] for row in w], dtype=object)
+        self.n, self.q, self.batch = n, q, batch
+        self._depth = n.bit_length() - 1
+        self._like = [w[:, received]] + [
+            np.empty((q, batch, n >> d), dtype=w.dtype)
+            for d in range(1, self._depth + 1)
+        ]
+        # block[flips[c]][v] is block[v ^ c]; v ^ (q - 1) is a reversed view
+        self._flips = [np.arange(q) ^ c for c in range(q - 1)]
+        self._flips.append(slice(None, None, -1))
         self._decided = np.zeros((batch, n), dtype=np.int64)
         self._i = 0
-        self._codeword = None
-        self._gen = _sc_leaves(w.T[received])
-        self._pending = next(self._gen)
+        self._last = None  # the last decided index, whose path is held
 
-    def _advance(self, values: np.ndarray) -> None:
-        self._decided[:, self._i] = values
-        self._i += 1
-        try:
-            self._pending = self._gen.send(values)
-        except StopIteration as stop:
-            self._pending = None
-            self._codeword = stop.value
+    def _combine(self, d: int, i: int) -> None:
+        """Compute the depth-d node on the path to index i from its parent.
+
+        Decisions and ties rest on this float order: a left child sums
+        out[v] = f[v ^ c] s[c] over c = 0..q-1, a right child is
+        out[x] = f[left ^ x] s[x], and both are divided by their plane sum.
+        """
+        size, out = self.n >> d, self._like[d]
+        f, s = self._like[d - 1][..., :size], self._like[d - 1][..., size:]
+        start = i >> (self._depth - d) << (self._depth - d)
+        if start & size:
+            left = _butterflies(self._decided[:, start - size : start].copy())
+            for bit in (1 << b for b in range(self.q.bit_length() - 1)):
+                f = np.where((left & bit) != 0, f[self._flips[bit]], f)
+            np.multiply(f, s, out=out)
+        else:
+            np.multiply(f, s[0], out=out)
+            for c in range(1, self.q):
+                out += f[self._flips[c]] * s[c]
+        if out.dtype != object:
+            # exact mode skips this: it would only grow the rationals
+            total = np.add.reduce(out, axis=0)
+            total[total == 0.0] = 1.0
+            out /= total
 
     def decide(self) -> np.ndarray:
         """Pick the likelihood-maximizing symbol at the current index."""
-        if self._pending is None:
+        i = self._i
+        if i >= self.n:
             raise RuntimeError("decoder already finished")
-        values = np.argmax(self._pending, axis=-1).astype(np.int64)
-        self._advance(values)
+        depth = self._depth
+        shared = 0 if self._last is None else depth - (i ^ self._last).bit_length()
+        for d in range(shared + 1, depth + 1):
+            self._combine(d, i)
+        values = self._like[depth][:, :, 0].argmax(axis=0).astype(np.int64)
+        self._decided[:, i] = values
+        self._i, self._last = i + 1, i
         return values
 
     def inject(self, values, index: int | None = None) -> np.ndarray:
-        """Supply the current index's symbols (frozen positions)."""
-        if self._pending is None:
+        """Supply the current index's symbols, one or one per row.  A 2-D
+        (rows or 1, count) array supplies the next `count` indices at once."""
+        i = self._i
+        values = np.asarray(values, dtype=np.int64)
+        count = values.shape[1] if values.ndim == 2 else 1
+        if i >= self.n:
             raise RuntimeError("decoder already finished")
-        if index is not None and index != self._i:
-            raise RuntimeError(
-                f"out-of-order stepping: at index {self._i}, got {index}"
-            )
-        values = np.broadcast_to(
-            np.asarray(values, dtype=np.int64), (self.batch,)
-        ).copy()
+        if index is not None and index != i:
+            raise RuntimeError(f"out-of-order stepping: at index {i}, got {index}")
+        if i + count > self.n:
+            raise RuntimeError(f"{count} indices from {i} run past n={self.n}")
+        shape = (self.batch, count) if values.ndim == 2 else (self.batch,)
+        values = np.broadcast_to(values, shape).copy()
         if np.any(values < 0) or np.any(values >= self.q):
             raise ValueError("injected symbol out of range")
-        self._advance(values)
+        self._decided[:, i : i + count] = values.reshape(self.batch, -1)
+        self._i += count
         return values
 
     @property
@@ -500,9 +489,9 @@ class ScDecoder:
     @property
     def codeword(self) -> np.ndarray:
         """Re-encoded transform output; available once finished."""
-        if self._codeword is None:
+        if self._i < self.n:
             raise RuntimeError("decoder has not finished")
-        return self._codeword
+        return polar_encode(self._decided)
 
 
 def sc_decode(
@@ -525,17 +514,13 @@ def sc_decode(
     if info_set.n != transform.n:
         raise ValueError("information set and transform disagree on n")
     dec = ScDecoder(channel, received[None, :], exact=exact)
-    out = np.zeros(transform.n, dtype=np.int64)
-    prefix: list[int] = []
     for i in range(transform.n):
         if i in info_set:
-            v = int(dec.decide()[0])
+            dec.decide()
         else:
-            v = 0 if resolver is None else int(resolver(i, tuple(prefix)))
-            dec.inject(v, index=i)
-        out[i] = v
-        prefix.append(v)
-    return out
+            prefix = tuple(dec.decisions[0].tolist())
+            dec.inject(0 if resolver is None else int(resolver(i, prefix)), index=i)
+    return dec.decisions[0]
 
 
 def list_decode(
@@ -553,13 +538,12 @@ def list_decode(
     included, as a (batch, n) array.
 
     `list_size=1` is successive cancellation through `ScDecoder`, with its
-    decisions and tie rule.  A larger list size runs successive
-    cancellation list decoding (Tal & Vardy, IEEE Trans. IT 2015) on a
-    binary-input channel and returns the most likely surviving path.
+    decisions and tie rule; each run of frozen indices is injected as one
+    block.  A larger list size runs successive cancellation list decoding
+    (Tal & Vardy, IEEE Trans. IT 2015) on a binary-input channel and
+    returns the most likely surviving path.
     """
-    received = np.asarray(received, dtype=np.int64)
-    if received.ndim == 1:
-        received = received[None, :]
+    received = np.atleast_2d(np.asarray(received, dtype=np.int64))
     batch, n = received.shape
     _check_power_of_two(n)
     if info_set.n != n:
@@ -568,12 +552,13 @@ def list_decode(
     if int(list_size) != list_size or list_size < 1:
         raise ValueError(f"list size must be an integer >= 1, got {list_size!r}")
     if list_size == 1:
-        dec = ScDecoder(channel, received)
-        for i in range(n):
-            if i in info_set:
+        dec, start = ScDecoder(channel, received), 0
+        for i in [*info_set.indices, n]:
+            if i > start:
+                dec.inject(frozen[:, start:i], index=start)
+            if i < n:
                 dec.decide()
-            else:
-                dec.inject(frozen[:, i], index=i)
+            start = i + 1
         return dec.decisions
     if channel.input_size != 2:
         raise ValueError("list decoding expects a binary-input channel")

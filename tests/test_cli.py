@@ -178,6 +178,7 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+    assert "PASS polar: float SC equals exact-rational SC" in out
 
 
 @pytest.mark.parametrize(

@@ -442,6 +442,88 @@ def test_decoder_codeword_reencodes_decisions():
     assert np.array_equal(dec.codeword, polar_encode(dec.decisions))
 
 
+def test_injected_word_makes_no_likelihood_combine(monkeypatch):
+    def combine(*args):
+        raise AssertionError("likelihoods computed for an injected index")
+
+    monkeypatch.setattr(ScDecoder, "_combine", combine)
+    rng = np.random.default_rng(9)
+    for ch, n in [(bsc(0.1), 16), (q_ary_symmetric(4, 0.2), 8)]:
+        y = rng.integers(0, ch.output_size, (5, n))
+        u = rng.integers(0, ch.input_size, (5, n))
+        dec = ScDecoder(ch, y)
+        dec.inject(u[:, :3], index=0)
+        for i in range(3, n):
+            dec.inject(u[:, i], index=i)
+        assert np.array_equal(dec.decisions, u)
+        assert np.array_equal(dec.codeword, polar_encode(u))
+
+
+def test_decide_computes_only_its_own_path(monkeypatch):
+    # with every earlier index injected, deciding the last index of an
+    # n-block computes the log2(n) nodes on its path and nothing else
+    calls = []
+    combine = ScDecoder._combine
+    monkeypatch.setattr(
+        ScDecoder, "_combine", lambda self, d, i: calls.append(d) or combine(self, d, i)
+    )
+    y = np.random.default_rng(10).integers(0, 2, 32)
+    dec = ScDecoder(bsc(0.1), y)
+    dec.inject(np.zeros((1, 31), dtype=int), index=0)
+    dec.decide()
+    assert calls == [1, 2, 3, 4, 5]
+    t = PolarTransform(32)
+    last = InformationSet(32, (31,))
+    assert np.array_equal(dec.decisions[0], sc_decode(t, last, bsc(0.1), y))
+
+
+def test_block_inject_equals_per_index():
+    rng = np.random.default_rng(11)
+    for ch, n in [(bec(0.4), 64), (q_ary_symmetric(4, 0.2), 16)]:
+        q = ch.input_size
+        y = rng.integers(0, ch.output_size, (6, n))
+        frozen = rng.integers(0, q, (6, n))
+        info = rng.random(n) < 0.5
+        single, block = ScDecoder(ch, y), ScDecoder(ch, y)
+        for i in range(n):
+            if info[i]:
+                single.decide()
+            else:
+                single.inject(frozen[:, i], index=i)
+        # runs of frozen indices as blocks: per row, and one row for all
+        start = 0
+        for i in [*np.flatnonzero(info), n]:
+            if i > start:
+                block.inject(frozen[:, start:i], index=start)
+            if i < n:
+                block.decide()
+            start = i + 1
+        assert np.array_equal(block.decisions, single.decisions)
+        assert np.array_equal(block.codeword, single.codeword)
+        shared = ScDecoder(ch, y)
+        assert shared.inject(frozen[:1, :4]).shape == (6, 4)
+        assert np.array_equal(shared.decisions, np.repeat(frozen[:1, :4], 6, axis=0))
+
+
+def test_block_inject_rejects_bad_blocks():
+    dec = ScDecoder(bsc(0.1), np.zeros((2, 8), dtype=int))
+    with pytest.raises(RuntimeError, match="out-of-order"):
+        dec.inject(np.zeros((2, 3), dtype=int), index=1)
+    with pytest.raises(RuntimeError, match="run past"):
+        dec.inject(np.zeros((2, 9), dtype=int), index=0)
+    with pytest.raises(ValueError, match="out of range"):
+        dec.inject(np.full((2, 3), 2), index=0)
+    with pytest.raises(ValueError):
+        dec.inject(np.zeros((3, 2), dtype=int), index=0)
+    assert dec.decisions.shape == (2, 0)
+    dec.inject(np.zeros((2, 6), dtype=int), index=0)
+    with pytest.raises(RuntimeError, match="run past"):
+        dec.inject(np.zeros((1, 3), dtype=int), index=6)
+    dec.inject(np.zeros((1, 2), dtype=int), index=6)
+    with pytest.raises(RuntimeError, match="finished"):
+        dec.inject(np.zeros((1, 1), dtype=int))
+
+
 def test_resolver_receives_prefix():
     seen = []
 
