@@ -19,13 +19,10 @@ from .channel import (
     q_ary_symmetric,
 )
 from .compound import (
-    TreeChannel,
     capacity_ascending,
     compound_lower_bound,
-    erasure_surrogate_sets,
     parallel_rate_lower,
     parallel_rate_upper,
-    tree_channel,
 )
 from .gf import FieldSpec, bits_to_symbols, symbols_to_bits
 from .mds import GrsCode, MdsCode, MdsFamily
@@ -39,7 +36,6 @@ from .parallel import (
     scheme_to_manifest,
 )
 from .polar import (
-    CosetCode,
     InformationSet,
     PolarTransform,
     ScDecoder,
@@ -51,6 +47,7 @@ from .polar import (
     polar_encode,
     sc_decode,
     split_channel_exact,
+    split_channels,
 )
 from .simrunner import (
     PermutedParallelChannel,

@@ -18,8 +18,8 @@ import numpy as np
 from . import channel as chmod
 from .channel import ResourceLimitError, capacity_uniform
 from .compound import (
-    DEFAULT_DEPTH_CAP,
     DEFAULT_MERGE_TOL,
+    DEPTH_CAP,
     compound_lower_bound,
     parallel_rate_lower,
     parallel_rate_upper,
@@ -272,9 +272,9 @@ def cmd_bounds(args) -> int:
     cfg = _load_config(args.config)
     if not cfg.channels:
         raise ConfigError("config must list channels")
-    if cfg.depth > DEFAULT_DEPTH_CAP:
+    if cfg.depth > DEPTH_CAP:
         raise ResourceLimitError(
-            f"depth {cfg.depth} exceeds cap {DEFAULT_DEPTH_CAP}"
+            f"depth {cfg.depth} exceeds cap {DEPTH_CAP}"
         )
     ordered = sorted(cfg.channels, key=capacity_uniform)
     lines = ["k,compound_lower,parallel_lower,parallel_upper,merge_tol"]
@@ -361,6 +361,22 @@ def cmd_selftest(args) -> int:
     quad = chmod.q_ary_symmetric(4, 0.0)
     args = (PolarTransform(16, f4), full, quad, polar_encode(u))
     ok &= all(np.array_equal(sc_decode(*args, exact=e), u) for e in (False, True))
+    # an independent oracle: on the erasure channel every input vector
+    # that agrees with the unerased outputs is equally likely, so the
+    # successive argmax counts them, ties going to 0
+    u_all = np.array(list(itertools.product((0, 1), repeat=4)))
+    x_all = polar_encode(u_all)
+    t4, full4 = PolarTransform(4), InformationSet(4, tuple(range(4)))
+    for y in itertools.product(range(3), repeat=4):
+        alive = np.all((x_all == y) | (np.array(y) == 2), axis=1)
+        ref = []
+        for l in range(4):
+            ones = np.count_nonzero(alive & (u_all[:, l] == 1))
+            zeros = np.count_nonzero(alive & (u_all[:, l] == 0))
+            ref.append(int(ones > zeros))
+            alive &= u_all[:, l] == ref[-1]
+        lib = sc_decode(t4, full4, chmod.bec(0.5), np.array(y))
+        ok &= np.array_equal(lib, ref)
     check("polar: float SC equals exact-rational SC", ok)
 
     def round_trips(sch) -> bool:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .channel import (
     DiscreteChannel,
-    bhattacharyya,
     capacity_uniform,
     is_bec_like,
     product_power,
@@ -33,6 +32,7 @@ from .gf import FieldSpec, bits_to_symbols, symbols_to_bits
 from .mds import MdsFamily
 from .polar import (
     InformationSet,
+    _erasure_parameter,
     ScDecoder,
     build_info_set,
     list_decode,
@@ -196,42 +196,38 @@ class DegradedScheme:
         threshold: float | None = None,
         b=None,
         surrogate: bool = False,
-        verify_degraded: bool = True,
-        method: str = "auto",
         list_size: int = 1,
     ) -> "DegradedScheme":
         """Construct sets and assemble the scheme.
 
-        With `surrogate=True` the channels need not be degraded: sets come
-        from the erasure surrogates (channels must then be ordered by
-        nondecreasing Bhattacharyya parameter).  Otherwise adjacent-pair
-        degradation is verified unless `verify_degraded=False`.
-        `list_size` picks the stage decoder (see the class docstring).
+        The channels must be ordered best first, each a degraded version
+        of its predecessor.  With `surrogate=True` they need not be
+        degraded: sets come from their erasure surrogates, and the
+        channels must be ordered by nondecreasing Bhattacharyya parameter
+        (see `monotone_info_sets`).  `list_size` picks the stage decoder
+        (see the class docstring).
         """
         channels = list(channels)
-        if surrogate:
-            from .compound import erasure_surrogate_sets
-
-            sets = erasure_surrogate_sets(
-                channels, n, rates=rates, threshold=threshold, size_multiple=m
-            )
-        else:
+        if not surrogate:
             _check_capacity_order(channels)
-            try:
-                sets = monotone_info_sets(
-                    channels,
-                    n,
-                    rates=rates,
-                    threshold=threshold,
-                    verify=verify_degraded,
-                    method=method,
-                    size_multiple=m,
-                )
-            except ValueError as exc:
-                raise ConstructionError(str(exc)) from None
+        try:
+            sets = monotone_info_sets(
+                channels,
+                n,
+                rates=rates,
+                threshold=threshold,
+                method="surrogate" if surrogate else "auto",
+                size_multiple=m,
+            )
+        except ValueError as exc:
+            raise ConstructionError(str(exc)) from None
         return cls(channels, sets, m=m, b=b, list_size=list_size)
 
     # -- layout helpers ------------------------------------------------------
+
+    @property
+    def uses_per_channel(self) -> int:
+        return self.n
 
     @property
     def info_bit_count(self) -> int:
@@ -389,6 +385,8 @@ class CoupledScheme:
     it there, and its tracer wraps only classes that own both.
     """
 
+    list_size = 1  # components always run successive cancellation
+
     def __init__(self, channels, info_sets, m: int, field_poly: int = 0):
         channels = tuple(channels)
         info_sets = tuple(info_sets)
@@ -502,7 +500,6 @@ class InterleavedScheme(CoupledScheme):
         m: int,
         rates=None,
         threshold: float | None = None,
-        method: str = "auto",
     ) -> "InterleavedScheme":
         channels = list(channels)
         if (rates is None) == (threshold is None):
@@ -513,7 +510,6 @@ class InterleavedScheme(CoupledScheme):
                 n,
                 rate=None if rates is None else rates[s],
                 threshold=threshold,
-                method=method,
             )
             for s, ch in enumerate(channels)
         ]
@@ -560,17 +556,14 @@ class NonBinaryScheme(CoupledScheme):
         threshold: float | None = None,
     ) -> "NonBinaryScheme":
         """Sets come from the symbol-level erasure evolution, seeded with
-        each channel's exact erasure probability when it is an erasure
-        channel and its Bhattacharyya parameter otherwise."""
+        the erasure probability of each channel's erasure stand-in (its
+        own for an erasure channel, its Bhattacharyya parameter otherwise)."""
         channels = list(channels)
         if (rates is None) == (threshold is None):
             raise ValueError("specify exactly one of rates and threshold")
         sets = []
         for idx, ch in enumerate(channels):
-            eps = is_bec_like(ch)
-            if eps is None:
-                eps = bhattacharyya(ch)
-            z = symbol_erasure_split_reliability(eps, m, n)
+            z = symbol_erasure_split_reliability(_erasure_parameter(ch), m, n)
             rate = None if rates is None else rates[idx]
             sets.append(select_info_set(z, rate, threshold))
         return cls(channels, sets, m)

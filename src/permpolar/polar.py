@@ -1,5 +1,5 @@
-"""Polarization core over GF(2^m): transform, coset codes, split channels,
-successive cancellation decoding, and information-set construction.
+"""Polarization core over GF(2^m): transform, split channels,
+information-set construction, and successive cancellation decoding.
 
 Index conventions used throughout:
 
@@ -132,48 +132,6 @@ class InformationSet:
         return cls(n, idx)
 
 
-@dataclass(frozen=True)
-class CosetCode:
-    """Polar coset code: information symbols on the set, fixed symbols off it.
-
-    `frozen` is aligned with the sorted complement of the information set.
-    """
-
-    transform: PolarTransform
-    info_set: InformationSet
-    frozen: np.ndarray = None
-
-    def __post_init__(self):
-        if self.info_set.n != self.transform.n:
-            raise ValueError("information set and transform disagree on n")
-        comp = self.info_set.complement()
-        frozen = self.frozen
-        if frozen is None:
-            frozen = np.zeros(len(comp), dtype=np.int64)
-        frozen = np.asarray(frozen, dtype=np.int64)
-        if frozen.shape != (len(comp),):
-            raise ValueError(
-                f"frozen vector must have length {len(comp)}, got {frozen.shape}"
-            )
-        self.transform.field._check_range(frozen)
-        frozen.flags.writeable = False
-        object.__setattr__(self, "frozen", frozen)
-
-    def encode(self, info_symbols) -> np.ndarray:
-        info_symbols = np.asarray(info_symbols, dtype=np.int64)
-        k = len(self.info_set)
-        if info_symbols.shape[-1] != k:
-            raise ValueError(f"expected {k} information symbols")
-        self.transform.field._check_range(info_symbols)
-        n = self.transform.n
-        u = np.zeros(info_symbols.shape[:-1] + (n,), dtype=np.int64)
-        u[..., list(self.info_set.indices)] = info_symbols
-        comp = self.info_set.complement()
-        if comp:
-            u[..., list(comp)] = self.frozen
-        return polar_encode(u)
-
-
 # ---------------------------------------------------------------------------
 # channel synthesis (splitting)
 # ---------------------------------------------------------------------------
@@ -240,6 +198,27 @@ def split_channel_exact(
     return c
 
 
+def split_channels(
+    ch: DiscreteChannel, k: int, merge_tol: float = 0.0
+) -> list[DiscreteChannel]:
+    """All 2^k split channels of a 2^k block, in natural index order.
+
+    One level at a time: every channel of a level yields its minus and
+    plus channels, merged as in `split_channel_exact`, so entry l equals
+    `split_channel_exact(ch, 2**k, l, merge_tol)`.
+    """
+    if k < 0:
+        raise ValueError("depth k must be nonnegative")
+    level = [ch]
+    for _ in range(k):
+        level = [
+            merge_outputs(step(c), merge_tol)
+            for c in level
+            for step in (channel_minus, channel_plus)
+        ]
+    return level
+
+
 def bec_split_bhattacharyya(epsilon: float, n: int) -> np.ndarray:
     """Per-index Bhattacharyya values of an erasure channel's splits.
 
@@ -260,26 +239,33 @@ def bec_split_bhattacharyya(epsilon: float, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _construction_values(ch: DiscreteChannel, n: int, method: str) -> np.ndarray:
-    """Per-index reliability figures (smaller is better).
+def _erasure_parameter(ch: DiscreteChannel, method: str = "auto") -> float:
+    """The erasure probability of the erasure channel that stands in for
+    a binary channel in construction.
 
-    Erasure channels are evaluated by the exact recursion.  Other binary
-    symmetric channels either go through the erasure surrogate with the
-    channel's Bhattacharyya parameter (an upper bound on each split's
-    parameter, hence conservative) or, for small n, exact splitting.
+    An erasure channel stands for itself.  Any other channel, and every
+    channel under method="surrogate", gets the erasure channel with its
+    Bhattacharyya parameter: among binary symmetric channels with that
+    parameter the erasure channel has the largest split parameters, so a
+    set reliable for it is reliable for the original.
     """
+    eps = None if method == "surrogate" else is_bec_like(ch)
+    return min(1.0, bhattacharyya(ch)) if eps is None else eps
+
+
+def _construction_values(ch: DiscreteChannel, n: int, method: str) -> np.ndarray:
+    """Per-index reliability figures (smaller is better): the split
+    Bhattacharyya parameters of the channel's erasure stand-in, or, with
+    method="exact" (small n), of the channel's own split channels."""
     if method not in ("auto", "exact", "surrogate"):
         raise ValueError(f"unknown construction method {method!r}")
     if ch.input_size != 2:
         raise ValueError("information set construction expects a binary channel")
     if method == "exact":
-        return np.array(
-            [bhattacharyya(split_channel_exact(ch, n, l)) for l in range(n)]
-        )
-    eps = is_bec_like(ch)
-    if eps is None or method == "surrogate":
-        eps = bhattacharyya(ch)
-    return bec_split_bhattacharyya(eps, n)
+        _check_power_of_two(n)
+        splits = split_channels(ch, n.bit_length() - 1)
+        return np.array([bhattacharyya(c) for c in splits])
+    return bec_split_bhattacharyya(_erasure_parameter(ch, method), n)
 
 
 def _set_size(z, rate, threshold) -> int:
@@ -324,17 +310,19 @@ def monotone_info_sets(
     n: int,
     rates=None,
     threshold: float | None = None,
-    verify: bool = True,
     method: str = "auto",
     size_multiple: int = 1,
 ) -> list[InformationSet]:
     """Nested information sets for a degradation-ordered channel list.
 
     `channels[0]` is the least degraded channel; each later channel must be
-    a degraded version of its predecessor (verified by the feasibility
-    test unless `verify=False`).  Construction runs worst channel first,
-    then augments, so A[S-1] <= ... <= A[0] holds by construction.  Set
-    sizes are rounded down to `size_multiple`.
+    a degraded version of its predecessor (checked by the feasibility
+    test).  With method="surrogate" the channels need not be degraded:
+    each is replaced by its erasure stand-in, and the list must be ordered
+    by nondecreasing Bhattacharyya parameter, which orders the stand-ins
+    by degradation.  Construction runs worst channel first, then augments,
+    so A[S-1] <= ... <= A[0] holds by construction.  Set sizes are rounded
+    down to `size_multiple`.
     """
     channels = list(channels)
     s_count = len(channels)
@@ -344,12 +332,18 @@ def monotone_info_sets(
         raise ValueError("specify exactly one of rates and threshold")
     if rates is not None and len(rates) != s_count:
         raise ValueError("one rate per channel required")
-    if verify:
-        for s in range(s_count - 1):
-            if is_degraded(channels[s], channels[s + 1]) is None:
+    for s in range(s_count - 1):
+        better, worse = channels[s], channels[s + 1]
+        if method == "surrogate":
+            if bhattacharyya(better) > bhattacharyya(worse) + 1e-12:
                 raise ValueError(
-                    f"channel {s + 1} is not a degraded version of channel {s}"
+                    f"channels must be ordered by nondecreasing Bhattacharyya "
+                    f"parameter; channel {s + 1} has a smaller one than channel {s}"
                 )
+        elif is_degraded(better, worse) is None:
+            raise ValueError(
+                f"channel {s + 1} is not a degraded version of channel {s}"
+            )
     zs = [_construction_values(ch, n, method) for ch in channels]
     sets: list[InformationSet | None] = [None] * s_count
     prev: set[int] = set()

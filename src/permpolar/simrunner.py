@@ -119,7 +119,7 @@ def _run_trial_range(scheme, channels, pi, seed, start, stop, chunk):
     """Error counts over [start, stop); deterministic per trial."""
     s_count = len(channels)
     k = scheme.info_bit_count
-    uses = getattr(scheme, "uses_per_channel", scheme.n)
+    uses = scheme.uses_per_channel
     ppc = PermutedParallelChannel(tuple(channels), tuple(pi))
     block_errors = 0
     bit_errors = 0
@@ -174,14 +174,12 @@ def evaluate(
         perm_list = [tuple(p) for p in _all_permutations(range(s_count))]
     else:
         perm_list = [tuple(int(v) for v in p) for p in permutations]
-    uses = getattr(scheme, "uses_per_channel", scheme.n)
+    uses = scheme.uses_per_channel
     if chunk is None:
         # keep decoder working sets around a few hundred MB; a list
         # decoder holds list_size paths per trial
-        q = getattr(scheme, "field", None)
-        qsize = 2 ** (q.m if q is not None else 1)
-        paths = getattr(scheme, "list_size", 1)
-        chunk = max(1, min(trials, (1 << 21) // max(1, uses * qsize) // paths))
+        per_trial = uses * 2**scheme.m * scheme.list_size
+        chunk = max(1, min(trials, (1 << 21) // per_trial))
     rate = scheme.rate()
     if workers > 1:
         # one pool for the whole call: every permutation's trials are split

@@ -154,6 +154,29 @@ def test_surrogate_mode_allows_non_degraded(tmp_path):
     assert main(["construct", "--config", cfg, "--out", man]) == 0
 
 
+@pytest.mark.parametrize(
+    "channels, rates",
+    [
+        ("bsc:0.11002 bec:0.5", "0.3 0.2"),  # not in Bhattacharyya order
+        ("bec:0.5 bsc:0.11002", "0.1 0.3"),  # rates break the nesting
+    ],
+)
+def test_surrogate_infeasible_exits_3_with_one_line(tmp_path, capsys, channels, rates):
+    cfg = write(
+        tmp_path,
+        "sur.cfg",
+        f"scheme = degraded\nchannels = {channels}\nn = 16\n"
+        f"rates = {rates}\nsurrogate = true\n",
+    )
+    man = tmp_path / "m.txt"
+    assert main(["construct", "--config", cfg, "--out", str(man)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("construction infeasible: ")
+    assert not man.exists()
+
+
 def test_bounds_csv(tmp_path):
     cfg = write(
         tmp_path,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from permpolar.channel import (
+    ResourceLimitError,
     bec,
     bhattacharyya,
     bsc,
@@ -10,56 +11,64 @@ from permpolar.channel import (
 from permpolar.compound import (
     capacity_ascending,
     compound_lower_bound,
-    erasure_surrogate_sets,
     parallel_rate_lower,
     parallel_rate_upper,
-    tree_channel,
 )
+from permpolar.parallel import ConstructionError, DegradedScheme
 from permpolar.polar import (
-    bec_split_bhattacharyya,
     build_info_set,
     monotone_info_sets,
     split_channel_exact,
+    split_channels,
 )
 
 
 def test_tree_channel_bec_single_branches():
     eps = 0.37
-    z0 = bhattacharyya(tree_channel(bec(eps), (0,), merge_tol=0.0).realized)
-    z1 = bhattacharyya(tree_channel(bec(eps), (1,), merge_tol=0.0).realized)
+    z0, z1 = (bhattacharyya(c) for c in split_channels(bec(eps), 1))
     assert z0 == pytest.approx(2 * eps - eps * eps, abs=1e-12)
     assert z1 == pytest.approx(eps * eps, abs=1e-12)
 
 
 def test_tree_channel_empty_sigma_is_base():
-    tc = tree_channel(bsc(0.2), ())
-    assert tc.realized == bsc(0.2)
+    assert split_channels(bsc(0.2), 0) == [bsc(0.2)]
 
 
 def test_tree_channel_plus_plus_improves_bsc():
     base = bsc(0.11002)
-    tc = tree_channel(base, (1, 1), merge_tol=0.0)
-    assert capacity_uniform(tc.realized) > capacity_uniform(base)
+    assert capacity_uniform(split_channel_exact(base, 4, 3)) > capacity_uniform(base)
+    assert capacity_uniform(split_channels(base, 2)[3]) > capacity_uniform(base)
 
 
 @pytest.mark.parametrize("base", [bec(0.3), bsc(0.11002)])
 def test_tree_channel_equals_indexed_split(base):
     for k in (1, 2, 3, 4):
-        for l in range(2**k):
-            sigma = [(l >> (k - 1 - j)) & 1 for j in range(k)]
-            tc = tree_channel(base, sigma, merge_tol=0.0)
-            z_tree = bhattacharyya(tc.realized)
-            z_split = bhattacharyya(split_channel_exact(base, 2**k, l))
-            assert abs(z_tree - z_split) <= 1e-9
+        level = split_channels(base, k)
+        assert len(level) == 2**k
+        for l, c in enumerate(level):
+            # the same steps in the same order: equal bit for bit
+            assert bhattacharyya(c) == bhattacharyya(split_channel_exact(base, 2**k, l))
 
 
 def test_tree_channel_validation():
     with pytest.raises(ValueError):
-        tree_channel(bec(0.5), (0, 2))
-    from permpolar.channel import ResourceLimitError
+        split_channels(bec(0.5), -1)
+    with pytest.raises(ValueError):
+        split_channel_exact(bec(0.5), 6, 0)
+    with pytest.raises(ValueError):
+        split_channel_exact(bec(0.5), 8, 8)
 
+
+@pytest.mark.parametrize(
+    "bound", [compound_lower_bound, parallel_rate_lower, parallel_rate_upper]
+)
+def test_bounds_check_their_input(bound):
+    with pytest.raises(ValueError, match="at least one"):
+        bound([], 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bound([bec(0.5)], -1)
     with pytest.raises(ResourceLimitError):
-        tree_channel(bec(0.5), (0,) * 9)
+        bound([bec(0.5)], 7)
 
 
 def test_compound_lower_bound_examples():
@@ -134,29 +143,35 @@ def test_capacity_ascending_helper():
 
 def test_erasure_surrogate_sets_on_becs_reduce_to_monotone():
     chans = [bec(0.1), bec(0.5)]
-    via_surrogate = erasure_surrogate_sets(chans, 16, rates=[0.6, 0.3])
+    via_surrogate = monotone_info_sets(chans, 16, rates=[0.6, 0.3], method="surrogate")
     direct = monotone_info_sets(chans, 16, rates=[0.6, 0.3])
     assert via_surrogate == direct
 
 
 def test_erasure_surrogate_sets_mixed_pair():
     chans = [bec(0.5), bsc(0.11002)]  # ordered by Bhattacharyya: 0.5 < 0.6258
-    sets = erasure_surrogate_sets(chans, 32, rates=[0.4, 0.25])
+    sets = monotone_info_sets(chans, 32, rates=[0.4, 0.25], method="surrogate")
     assert sets[1].issubset(sets[0])
-    # surrogate for the crossover channel is the erasure channel at its
-    # Bhattacharyya parameter
+    # the worst channel's set is built first, from the erasure channel at
+    # its Bhattacharyya parameter alone
     z = bhattacharyya(bsc(0.11002))
     direct = build_info_set(bec(z), 32, rate=0.25)
-    assert set(sets[1].indices) <= set(direct.indices) | set(sets[1].indices)
+    assert sets[1] == direct
 
 
 def test_erasure_surrogate_sets_rejects_unordered():
     with pytest.raises(ValueError, match="ordered"):
-        erasure_surrogate_sets([bsc(0.11002), bec(0.5)], 16, rates=[0.3, 0.2])
+        monotone_info_sets(
+            [bsc(0.11002), bec(0.5)], 16, rates=[0.3, 0.2], method="surrogate"
+        )
+    with pytest.raises(ConstructionError, match="ordered"):
+        DegradedScheme.build(
+            [bsc(0.11002), bec(0.5)], 16, rates=[0.3, 0.2], surrogate=True
+        )
 
 
 def test_erasure_surrogate_noiseless_member_gets_everything():
-    sets = erasure_surrogate_sets(
-        [bec(0.0), bec(0.5)], 8, threshold=0.2
+    sets = monotone_info_sets(
+        [bec(0.0), bec(0.5)], 8, threshold=0.2, method="surrogate"
     )
     assert sets[0].indices == tuple(range(8))

@@ -16,7 +16,6 @@ from permpolar.channel import (
 from permpolar.gf import FieldSpec
 from permpolar.polar import (
     BINARY,
-    CosetCode,
     InformationSet,
     PolarTransform,
     ScDecoder,
@@ -113,25 +112,24 @@ def test_transform_is_involution():
 
 
 def test_coset_code_encoding():
-    t = PolarTransform(2)
-    code = CosetCode(t, InformationSet(2, (1,)), np.array([0]))
-    assert np.array_equal(code.encode([1]), [1, 1])
-    zero = CosetCode(t, InformationSet(2, (0, 1)))
-    assert np.array_equal(zero.encode([0, 0]), [0, 0])
+    # index 0 frozen to 0, index 1 carries the information bit 1
+    assert np.array_equal(polar_encode([0, 1]), [1, 1])
+    assert np.array_equal(polar_encode([0, 0]), [0, 0])
 
 
 def test_coset_offset_shifts_by_frozen_rows():
-    t = PolarTransform(8)
     info = InformationSet(8, (4, 5, 6, 7))
     comp = list(info.complement())
     rng = np.random.default_rng(2)
     frozen = rng.integers(0, 2, len(comp))
-    c0 = CosetCode(t, info)
-    cb = CosetCode(t, info, frozen)
     msg = rng.integers(0, 2, 4)
+    u0 = np.zeros(8, dtype=np.int64)
+    u0[list(info.indices)] = msg
+    ub = u0.copy()
+    ub[comp] = frozen
     shift = np.zeros(8, dtype=np.int64)
     shift[comp] = frozen
-    assert np.array_equal(cb.encode(msg), c0.encode(msg) ^ polar_encode(shift))
+    assert np.array_equal(polar_encode(ub), polar_encode(u0) ^ polar_encode(shift))
 
 
 def test_information_set_validation_and_text():
@@ -312,10 +310,12 @@ def test_sc_bec_no_erasures_recovery():
     t = PolarTransform(8)
     info = InformationSet(8, (3, 5, 6, 7))
     frozen = {0: 1, 1: 0, 2: 1, 4: 0}
-    code = CosetCode(t, info, np.array([1, 0, 1, 0]))
     rng = np.random.default_rng(4)
     msg = rng.integers(0, 2, 4)
-    x = code.encode(msg)
+    u = np.zeros(8, dtype=np.int64)
+    u[list(info.indices)] = msg
+    u[list(frozen)] = list(frozen.values())
+    x = polar_encode(u)
     # erasure channel outputs: data symbols pass through as indices 0/1
     decided = sc_decode(t, info, bec(0.4), x, lambda i, p: frozen.get(i, 0))
     assert np.array_equal(decided[list(info.indices)], msg)

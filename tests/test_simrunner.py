@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from permpolar.channel import bec, bsc
-from permpolar.parallel import DegradedScheme
+from permpolar.parallel import DegradedScheme, InterleavedScheme, NonBinaryScheme
 from permpolar.polar import InformationSet
 from permpolar.simrunner import (
     PermutedParallelChannel,
@@ -85,6 +85,38 @@ def test_evaluate_chunking_invariance():
     a = evaluate(sch, trials=50, master_seed=9, chunk=50)
     b = evaluate(sch, trials=50, master_seed=9, chunk=7)
     assert reports_to_csv(a) == reports_to_csv(b)
+
+
+class _FirstChunk(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "kind, expected",
+    [("degraded", 1024), ("degraded-list", 512), ("interleaved", 256), ("symbol", 256)],
+)
+def test_evaluate_default_chunk(monkeypatch, kind, expected):
+    # 2^21 / (uses per channel * 2^m * list size), read at the first encode
+    if kind.startswith("degraded"):
+        sch = DegradedScheme.build(
+            [bec(0.1), bec(0.3), bec(0.5)],
+            1024,
+            rates=[0.75, 0.55, 0.35],
+            list_size=2 if kind == "degraded-list" else 1,
+        )
+    else:
+        cls = InterleavedScheme if kind == "interleaved" else NonBinaryScheme
+        sch = cls.build([bsc(0.11002), bec(0.5)], 1024, m=2, rates=[0.25, 0.25])
+    sizes = []
+
+    def encode(bits):
+        sizes.append(len(bits))
+        raise _FirstChunk
+
+    monkeypatch.setattr(sch, "encode", encode)
+    with pytest.raises(_FirstChunk):
+        evaluate(sch, permutations=[tuple(range(sch.S))], trials=5000)
+    assert sizes == [expected]
 
 
 def test_evaluate_worker_invariance():
