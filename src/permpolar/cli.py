@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 construction infeasible,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from dataclasses import dataclass, field
 
@@ -20,9 +21,7 @@ from .channel import ResourceLimitError, capacity_uniform
 from .compound import (
     DEFAULT_MERGE_TOL,
     DEPTH_CAP,
-    compound_lower_bound,
-    parallel_rate_lower,
-    parallel_rate_upper,
+    bound_table,
 )
 from .parallel import (
     ConstructionError,
@@ -276,12 +275,12 @@ def cmd_bounds(args) -> int:
         raise ResourceLimitError(
             f"depth {cfg.depth} exceeds cap {DEPTH_CAP}"
         )
+    if cfg.depth < 0:
+        raise ConfigError(f"depth {cfg.depth} is negative")
     ordered = sorted(cfg.channels, key=capacity_uniform)
     lines = ["k,compound_lower,parallel_lower,parallel_upper,merge_tol"]
-    for k in range(cfg.depth + 1):
-        cl = compound_lower_bound(ordered, k, merge_tol=cfg.merge_tol)
-        pl = parallel_rate_lower(ordered, k, merge_tol=cfg.merge_tol)
-        pu = parallel_rate_upper(ordered, k, merge_tol=cfg.merge_tol)
+    rows = bound_table(ordered, cfg.depth, merge_tol=cfg.merge_tol)
+    for k, (cl, pl, pu) in enumerate(rows):
         lines.append(f"{k},{cl!r},{pl!r},{pu!r},{cfg.merge_tol!r}")
     csv = "\n".join(lines) + "\n"
     out = args.out or cfg.out
@@ -309,6 +308,7 @@ def cmd_selftest(args) -> int:
         InformationSet,
         PolarTransform,
         bec_split_bhattacharyya,
+        list_decode,
         polar_encode,
         sc_decode,
         split_channel_exact,
@@ -378,6 +378,19 @@ def cmd_selftest(args) -> int:
         lib = sc_decode(t4, full4, chmod.bec(0.5), np.array(y))
         ok &= np.array_equal(lib, ref)
     check("polar: float SC equals exact-rational SC", ok)
+    # float decisions on a seeded noisy corpus, pinned: near-ties there
+    # move with the order of the minus sum and of the plane sum, with the
+    # division by the plane sum and with the tie rule
+    crng, digest = np.random.default_rng(7), hashlib.sha256()
+    for ch in (chmod.bsc(0.2), chmod.product_power(chmod.bsc(0.11002), 2)):
+        mask = crng.random(64) < 0.5
+        u = crng.integers(0, ch.input_size, (20, 64))
+        cdf = np.cumsum(ch.transitions, axis=1)
+        y = (crng.random(u.shape)[..., None] < cdf[polar_encode(u)]).argmax(-1)
+        info = InformationSet(64, tuple(np.flatnonzero(mask)))
+        digest.update(list_decode(ch, y, info, u).tobytes())
+    check("polar: float SC decisions on a pinned noisy corpus",
+          digest.hexdigest()[:16] == "b7bf2ff91d70e9fc")
 
     def round_trips(sch) -> bool:
         bits = rng.integers(0, 2, sch.info_bit_count)

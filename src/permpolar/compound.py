@@ -17,7 +17,7 @@ from .channel import (
     bhattacharyya,
     capacity_uniform,
 )
-from .polar import split_channels
+from .polar import split_channels, split_levels
 
 DEPTH_CAP = 6
 DEFAULT_MERGE_TOL = 1e-6
@@ -34,11 +34,33 @@ def _check_bound_input(channels, k: int) -> list[DiscreteChannel]:
     return channels
 
 
+def _table(level, value_fn) -> np.ndarray:
+    """value_fn of every split channel in `level`, which holds one list
+    of split channels per channel: one row per channel."""
+    return np.array([[value_fn(c) for c in row] for row in level])
+
+
 def _split_table(channels, k: int, merge_tol: float, value_fn) -> np.ndarray:
     """value_fn of every depth-k split channel: one row per channel."""
-    return np.array(
-        [[value_fn(c) for c in split_channels(ch, k, merge_tol)] for ch in channels]
-    )
+    return _table([split_channels(ch, k, merge_tol) for ch in channels], value_fn)
+
+
+def _compound_lower(z: np.ndarray) -> float:
+    return float(1.0 - z.max(axis=0).mean())
+
+
+def _parallel_lower(channels, z: np.ndarray) -> float:
+    total = capacity_uniform(channels[-1]) + (len(channels) - 1)
+    for s in range(len(channels) - 1):
+        total -= z[s:].max(axis=0).mean()
+    return float(total)
+
+
+def _parallel_upper(channels, caps: np.ndarray) -> float:
+    total = capacity_uniform(channels[-1])
+    for s in range(len(channels) - 1):
+        total += caps[s:].min(axis=0).mean()
+    return float(total)
 
 
 def compound_lower_bound(
@@ -48,8 +70,7 @@ def compound_lower_bound(
     1 - 2^{-k} * sum over branch words of the worst tree-channel
     Bhattacharyya parameter.  Nondecreasing in k up to merge error."""
     channels = _check_bound_input(channels, k)
-    tables = _split_table(channels, k, merge_tol, bhattacharyya)
-    return float(1.0 - tables.max(axis=0).mean())
+    return _compound_lower(_split_table(channels, k, merge_tol, bhattacharyya))
 
 
 def parallel_rate_lower(
@@ -62,14 +83,8 @@ def parallel_rate_lower(
     channel contributes its full symmetric capacity.
     """
     channels = _check_bound_input(channels, k)
-    s_count = len(channels)
-    total = capacity_uniform(channels[-1]) + (s_count - 1)
-    if s_count == 1:
-        return float(total)
-    tables = _split_table(channels, k, merge_tol, bhattacharyya)
-    for s in range(s_count - 1):
-        total -= tables[s:].max(axis=0).mean()
-    return float(total)
+    z = _split_table(channels, k, merge_tol, bhattacharyya)
+    return _parallel_lower(channels, z)
 
 
 def parallel_rate_upper(
@@ -78,14 +93,27 @@ def parallel_rate_upper(
     """Rate ceiling for the channel-after-channel scheme: each stage is
     capped by the smallest tree-channel capacity among its candidates."""
     channels = _check_bound_input(channels, k)
-    s_count = len(channels)
-    total = capacity_uniform(channels[-1])
-    if s_count == 1:
-        return float(total)
-    tables = _split_table(channels, k, merge_tol, capacity_uniform)
-    for s in range(s_count - 1):
-        total += tables[s:].min(axis=0).mean()
-    return float(total)
+    caps = _split_table(channels, k, merge_tol, capacity_uniform)
+    return _parallel_upper(channels, caps)
+
+
+def bound_table(
+    channels, depth: int, merge_tol: float = DEFAULT_MERGE_TOL
+) -> list[tuple[float, float, float]]:
+    """(compound_lower_bound, parallel_rate_lower, parallel_rate_upper) at
+    every k = 0..depth, read from one split walk per channel."""
+    channels = _check_bound_input(channels, depth)
+    walks = [split_levels(ch, depth, merge_tol) for ch in channels]
+    rows = []
+    for k in range(depth + 1):
+        level = [levels[k] for levels in walks]
+        z, caps = _table(level, bhattacharyya), _table(level, capacity_uniform)
+        rows.append((
+            _compound_lower(z),
+            _parallel_lower(channels, z),
+            _parallel_upper(channels, caps),
+        ))
+    return rows
 
 
 def capacity_ascending(channels) -> list[DiscreteChannel]:

@@ -46,13 +46,16 @@ def _check_power_of_two(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _butterflies(x: np.ndarray) -> np.ndarray:
-    """Apply the polar transform in place along the last axis."""
-    n = x.shape[-1]
+def _butterflies(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Apply the polar transform in place along one axis of a contiguous
+    array."""
+    axis %= x.ndim
+    n = x.shape[axis]
+    lead = (slice(None),) * (axis + 1)
     h = 1
     while h < n:
-        pairs = x.reshape(x.shape[:-1] + (n // (2 * h), 2, h))
-        pairs[..., 0, :] ^= pairs[..., 1, :]
+        pairs = x.reshape(x.shape[:axis] + (n // (2 * h), 2, h) + x.shape[axis + 1 :])
+        pairs[lead + (0,)] ^= pairs[lead + (1,)]
         h *= 2
     return x
 
@@ -198,25 +201,34 @@ def split_channel_exact(
     return c
 
 
-def split_channels(
+def split_levels(
     ch: DiscreteChannel, k: int, merge_tol: float = 0.0
-) -> list[DiscreteChannel]:
-    """All 2^k split channels of a 2^k block, in natural index order.
+) -> list[list[DiscreteChannel]]:
+    """Levels 0..k of the split walk; level j holds the 2^j split channels
+    of a 2^j block, in natural index order.
 
     One level at a time: every channel of a level yields its minus and
-    plus channels, merged as in `split_channel_exact`, so entry l equals
-    `split_channel_exact(ch, 2**k, l, merge_tol)`.
+    plus channels, merged as in `split_channel_exact`, so entry l of level
+    j equals `split_channel_exact(ch, 2**j, l, merge_tol)`.
     """
     if k < 0:
         raise ValueError("depth k must be nonnegative")
-    level = [ch]
+    levels = [[ch]]
     for _ in range(k):
-        level = [
+        levels.append([
             merge_outputs(step(c), merge_tol)
-            for c in level
+            for c in levels[-1]
             for step in (channel_minus, channel_plus)
-        ]
-    return level
+        ])
+    return levels
+
+
+def split_channels(
+    ch: DiscreteChannel, k: int, merge_tol: float = 0.0
+) -> list[DiscreteChannel]:
+    """All 2^k split channels of a 2^k block, in natural index order: the
+    last level of `split_levels`."""
+    return split_levels(ch, k, merge_tol)[-1]
 
 
 def bec_split_bhattacharyya(epsilon: float, n: int) -> np.ndarray:
@@ -380,11 +392,13 @@ class ScDecoder:
     (`inject`), which is how frozen symbols resolved mid-decode enter.
 
     The decoder is lazy.  Depth d of the code tree holds one node's
-    likelihoods as a (q, rows, n >> d) buffer.  `inject` only records
-    symbols; `decide` computes the nodes on the path to its leaf below the
-    deepest one that the previous decided index shares, a right child from
-    its parent and its re-encoded left sibling.  A subtree whose indices
-    were all injected is never computed.  Work is O(n log n) per word.
+    likelihoods as a (q, n >> d, rows) buffer, and the symbols fixed so
+    far are kept as an (n, rows) array, so every step runs over contiguous
+    rows of the whole batch.  `inject` only records symbols; `decide`
+    computes the nodes on the path to its leaf below the deepest one that
+    the previous decided index shares, a right child from its parent and
+    its re-encoded left sibling.  A subtree whose indices were all
+    injected is never computed.  Work is O(n log n) per word.
 
     With `exact=True` all arithmetic runs on rationals, so likelihood ties
     are broken exactly (ties resolve to the smallest symbol value).
@@ -405,14 +419,14 @@ class ScDecoder:
             w = np.array([[Fraction(p) for p in row] for row in w], dtype=object)
         self.n, self.q, self.batch = n, q, batch
         self._depth = n.bit_length() - 1
-        self._like = [w[:, received]] + [
-            np.empty((q, batch, n >> d), dtype=w.dtype)
+        self._like = [w[:, np.ascontiguousarray(received.T)]] + [
+            np.empty((q, n >> d, batch), dtype=w.dtype)
             for d in range(1, self._depth + 1)
         ]
         # block[flips[c]][v] is block[v ^ c]; v ^ (q - 1) is a reversed view
         self._flips = [np.arange(q) ^ c for c in range(q - 1)]
         self._flips.append(slice(None, None, -1))
-        self._decided = np.zeros((batch, n), dtype=np.int64)
+        self._decided = np.zeros((n, batch), dtype=np.min_scalar_type(q - 1))
         self._i = 0
         self._last = None  # the last decided index, whose path is held
 
@@ -424,10 +438,12 @@ class ScDecoder:
         out[x] = f[left ^ x] s[x], and both are divided by their plane sum.
         """
         size, out = self.n >> d, self._like[d]
-        f, s = self._like[d - 1][..., :size], self._like[d - 1][..., size:]
+        f, s = self._like[d - 1][:, :size], self._like[d - 1][:, size:]
         start = i >> (self._depth - d) << (self._depth - d)
         if start & size:
-            left = _butterflies(self._decided[:, start - size : start].copy())
+            left = self._decided[start - size : start]
+            if size > 1:  # a single symbol is its own transform
+                left = _butterflies(left.copy(), axis=0)
             for bit in (1 << b for b in range(self.q.bit_length() - 1)):
                 f = np.where((left & bit) != 0, f[self._flips[bit]], f)
             np.multiply(f, s, out=out)
@@ -450,16 +466,18 @@ class ScDecoder:
         shared = 0 if self._last is None else depth - (i ^ self._last).bit_length()
         for d in range(shared + 1, depth + 1):
             self._combine(d, i)
-        values = self._like[depth][:, :, 0].argmax(axis=0).astype(np.int64)
-        self._decided[:, i] = values
+        values = self._like[depth][:, 0].argmax(axis=0)
+        self._decided[i] = values
         self._i, self._last = i + 1, i
-        return values
+        return values.astype(np.int64, copy=False)
 
     def inject(self, values, index: int | None = None) -> np.ndarray:
         """Supply the current index's symbols, one or one per row.  A 2-D
         (rows or 1, count) array supplies the next `count` indices at once."""
         i = self._i
         values = np.asarray(values, dtype=np.int64)
+        if values.ndim > 2:
+            raise ValueError("inject takes a scalar, a row or a 2-D block")
         count = values.shape[1] if values.ndim == 2 else 1
         if i >= self.n:
             raise RuntimeError("decoder already finished")
@@ -468,24 +486,26 @@ class ScDecoder:
         if i + count > self.n:
             raise RuntimeError(f"{count} indices from {i} run past n={self.n}")
         shape = (self.batch, count) if values.ndim == 2 else (self.batch,)
-        values = np.broadcast_to(values, shape).copy()
-        if np.any(values < 0) or np.any(values >= self.q):
+        full = np.empty(shape, dtype=np.int64)
+        full[...] = values  # broadcasts, or raises ValueError
+        if (full < 0).any() or (full >= self.q).any():
             raise ValueError("injected symbol out of range")
-        self._decided[:, i : i + count] = values.reshape(self.batch, -1)
+        self._decided[i : i + count] = full.reshape(self.batch, -1).T
         self._i += count
-        return values
+        return full
 
     @property
     def decisions(self) -> np.ndarray:
-        """All symbols fixed so far, decided and injected alike."""
-        return self._decided[:, : self._i]
+        """All symbols fixed so far, decided and injected alike, as a
+        (rows, indices) array."""
+        return self._decided[: self._i].T.astype(np.int64, order="C")
 
     @property
     def codeword(self) -> np.ndarray:
         """Re-encoded transform output; available once finished."""
         if self._i < self.n:
             raise RuntimeError("decoder has not finished")
-        return polar_encode(self._decided)
+        return polar_encode(self.decisions)
 
 
 def sc_decode(

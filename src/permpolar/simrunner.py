@@ -15,8 +15,6 @@ from itertools import permutations as _all_permutations
 
 import numpy as np
 
-from .channel import DiscreteChannel
-
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 MAX_ALL_PERMUTATIONS_S = 6  # permutations="all" enumerates at most 6! = 720
 
@@ -51,33 +49,34 @@ def _lane_rng(seed: int, trial: int, lane: int) -> np.random.Generator:
     )
 
 
-def _sample_channel(
-    ch: DiscreteChannel, x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """One output index per use, via inverse-CDF on one uniform per use."""
-    cdf = np.cumsum(ch.transitions, axis=1)
-    cdf[:, -1] = 1.0
-    u = rng.random(x.shape[0])
-    rows = cdf[x]
-    return (u[:, None] < rows).argmax(axis=1).astype(np.int64)
-
-
 def transmit(
     channel: PermutedParallelChannel, codewords, seed: int, trial: int = 0
 ) -> np.ndarray:
-    """Send the S codewords through the assigned channels.
+    """Send the S codewords of one trial, or of consecutive trials, through
+    the assigned channels.
 
-    codewords[label] is the codeword with that label; the output row s is
-    channel s's observation of codeword pi[s].
+    `codewords` is (S, uses) for trial `trial`, or (S, b, uses) for the b
+    trials from `trial` on; codewords[label] holds the codewords with that
+    label.  The output, of the same shape, has channel s's observation of
+    codeword pi[s] in row s.  Each use takes one uniform u from the
+    (trial, lane s) stream and outputs the first index whose cumulative
+    transition probability exceeds u.
     """
     codewords = np.asarray(codewords, dtype=np.int64)
-    if codewords.ndim != 2 or codewords.shape[0] != channel.S:
+    if codewords.ndim not in (2, 3) or codewords.shape[0] != channel.S:
         raise ValueError(f"expected {channel.S} codewords of equal length")
-    outs = []
-    for s in range(channel.S):
-        rng = _lane_rng(seed, trial, s)
-        outs.append(_sample_channel(channel.channels[s], codewords[channel.pi[s]], rng))
-    return np.stack(outs)
+    x = codewords.reshape(channel.S, -1, codewords.shape[-1])
+    y = np.zeros_like(x)
+    u = np.empty(x.shape[1:])
+    for s, ch in enumerate(channel.channels):
+        for i in range(x.shape[1]):
+            _lane_rng(seed, trial + i, s).random(out=u[i])
+        cdf = np.cumsum(ch.transitions, axis=1)
+        # the first index whose cumulative sum exceeds u is the number of
+        # sums u reaches among all but the last, which is 1 in exact terms
+        for j in range(ch.output_size - 1):
+            y[s] += u >= cdf[:, j][x[channel.pi[s]]]
+    return y.reshape(codewords.shape)
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,6 @@ def _run_trial_range(scheme, channels, pi, seed, start, stop, chunk):
     """Error counts over [start, stop); deterministic per trial."""
     s_count = len(channels)
     k = scheme.info_bit_count
-    uses = scheme.uses_per_channel
     ppc = PermutedParallelChannel(tuple(channels), tuple(pi))
     block_errors = 0
     bit_errors = 0
@@ -129,10 +127,7 @@ def _run_trial_range(scheme, channels, pi, seed, start, stop, chunk):
         msgs = np.stack(
             [_lane_rng(seed, t + i, s_count).integers(0, 2, k) for i in range(b)]
         )
-        x = scheme.encode(msgs)  # (S, b, uses)
-        y = np.zeros((s_count, b, uses), dtype=np.int64)
-        for i in range(b):
-            y[:, i, :] = transmit(ppc, x[:, i, :], seed, t + i)
+        y = transmit(ppc, scheme.encode(msgs), seed, t)  # (S, b, uses)
         decoded = scheme.decode(list(y), pi)
         wrong = decoded != msgs
         block_errors += int(np.count_nonzero(wrong.any(axis=1)))

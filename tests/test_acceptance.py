@@ -249,6 +249,7 @@ def test_criterion_06_three_channel_stage_quantities():
 # -- criterion 7: permutation obliviousness at scale --------------------------
 
 
+@pytest.mark.slow
 def test_criterion_07_degraded_bler_all_permutations():
     channels = [bec(0.1), bec(0.3), bec(0.5)]
     rates = [capacity_uniform(c) - 0.15 for c in channels]
@@ -273,6 +274,7 @@ def test_criterion_07_degraded_bler_all_permutations():
 # -- criterion 8: rate approach and reliability at n = 2^14 -------------------
 
 
+@pytest.mark.slow
 def test_criterion_08_capacity_approach():
     channels = [bec(0.1), bec(0.3), bec(0.5)]
     cap_sum = sum(capacity_uniform(c) for c in channels)

@@ -197,6 +197,27 @@ def test_bounds_csv(tmp_path):
     assert open(out).read() == open(out2).read()
 
 
+def test_bounds_negative_depth_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "neg.cfg", "channels = bec:0.3\ndepth = -1\n")
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err == "configuration error: depth -1 is negative\n"
+
+
+def test_bounds_walk_each_channel_once(tmp_path, monkeypatch):
+    # one depth-5 walk takes 1 + 2 + 4 + 8 + 16 minus steps; a walk for
+    # every depth and every bound would take 6 * 57 for the two channels
+    import permpolar.polar as polar
+
+    steps = []
+    minus = polar.channel_minus
+    monkeypatch.setattr(
+        polar, "channel_minus", lambda ch, *a: steps.append(ch) or minus(ch, *a)
+    )
+    cfg = write(tmp_path, "walk.cfg", "channels = bsc:0.11002 bec:0.5\ndepth = 5\n")
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 0
+    assert len(steps) == 2 * 31
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from permpolar.channel import bec, bsc
+from permpolar.channel import DiscreteChannel, bec, bsc
 from permpolar.parallel import DegradedScheme, InterleavedScheme, NonBinaryScheme
 from permpolar.polar import InformationSet
 from permpolar.simrunner import (
     PermutedParallelChannel,
     TrialReport,
+    _lane_rng,
     evaluate,
     reports_to_csv,
     transmit,
@@ -54,6 +55,33 @@ def test_transmit_deterministic_per_seed_and_trial():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# binary input, four outputs: two certain, two noisy
+MIXED = DiscreteChannel(np.array([[0.6, 0.25, 0.15, 0.0], [0.0, 0.15, 0.25, 0.6]]))
+# output 1 never occurs, so two cumulative sums repeat in each row
+GAP = DiscreteChannel(np.array([[0.7, 0.0, 0.2, 0.1], [0.1, 0.0, 0.2, 0.7]]))
+
+
+@pytest.mark.parametrize("b", [1, 7])
+def test_transmit_trial_range_equals_per_trial_calls(b):
+    ppc = PermutedParallelChannel((bec(0.3), bsc(0.2), MIXED, GAP), (2, 0, 3, 1))
+    x = np.random.default_rng(b).integers(0, 2, (4, b, 48))
+    start = 37
+    y = transmit(ppc, x, seed=11, trial=start)
+    assert y.shape == x.shape and y.dtype == np.int64
+    for i in range(b):
+        single = transmit(ppc, x[:, i], seed=11, trial=start + i)
+        assert np.array_equal(y[:, i], single)
+        for s, ch in enumerate(ppc.channels):
+            # inverse CDF on the (trial, lane) stream: the first output
+            # whose cumulative probability exceeds the uniform
+            cdf = np.cumsum(ch.transitions, axis=1)
+            cdf[:, -1] = 1.0
+            u = _lane_rng(11, start + i, s).random(48)
+            ref = (u[:, None] < cdf[x[ppc.pi[s], i]]).argmax(axis=1)
+            assert np.array_equal(single[s], ref)
+    assert not np.any(y[3] == 1)
 
 
 def test_transmit_shape_errors():
