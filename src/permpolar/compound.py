@@ -17,7 +17,7 @@ from .channel import (
     bhattacharyya,
     capacity_uniform,
 )
-from .polar import split_channels, split_levels
+from .polar import split_levels
 
 DEPTH_CAP = 6
 DEFAULT_MERGE_TOL = 1e-6
@@ -34,33 +34,33 @@ def _check_bound_input(channels, k: int) -> list[DiscreteChannel]:
     return channels
 
 
-def _table(level, value_fn) -> np.ndarray:
-    """value_fn of every split channel in `level`, which holds one list
-    of split channels per channel: one row per channel."""
-    return np.array([[value_fn(c) for c in row] for row in level])
+def bound_table(
+    channels, depth: int, merge_tol: float = DEFAULT_MERGE_TOL
+) -> list[tuple[float, float, float]]:
+    """(compound_lower_bound, parallel_rate_lower, parallel_rate_upper) at
+    every k = 0..depth, read from one split walk per channel."""
+    channels = _check_bound_input(channels, depth)
+    walks = [split_levels(ch, depth, merge_tol) for ch in channels]
+    last_cap = capacity_uniform(channels[-1])
+    rows = []
+    for k in range(depth + 1):
+        level = [levels[k] for levels in walks]
+        z = np.array([[bhattacharyya(c) for c in row] for row in level])
+        caps = np.array([[capacity_uniform(c) for c in row] for row in level])
+        lower, upper = last_cap + (len(channels) - 1), last_cap
+        for s in range(len(channels) - 1):
+            lower -= z[s:].max(axis=0).mean()
+            upper += caps[s:].min(axis=0).mean()
+        rows.append((float(1.0 - z.max(axis=0).mean()), float(lower), float(upper)))
+    return rows
 
 
-def _split_table(channels, k: int, merge_tol: float, value_fn) -> np.ndarray:
-    """value_fn of every depth-k split channel: one row per channel."""
-    return _table([split_channels(ch, k, merge_tol) for ch in channels], value_fn)
-
-
-def _compound_lower(z: np.ndarray) -> float:
-    return float(1.0 - z.max(axis=0).mean())
-
-
-def _parallel_lower(channels, z: np.ndarray) -> float:
-    total = capacity_uniform(channels[-1]) + (len(channels) - 1)
-    for s in range(len(channels) - 1):
-        total -= z[s:].max(axis=0).mean()
-    return float(total)
-
-
-def _parallel_upper(channels, caps: np.ndarray) -> float:
-    total = capacity_uniform(channels[-1])
-    for s in range(len(channels) - 1):
-        total += caps[s:].min(axis=0).mean()
-    return float(total)
+def _parallel_bound(channels, k: int, merge_tol: float, column: int) -> float:
+    channels = _check_bound_input(channels, k)
+    if len(channels) == 1:
+        # one stage: its full symmetric capacity, no walk needed
+        return float(capacity_uniform(channels[0]))
+    return bound_table(channels, k, merge_tol)[-1][column]
 
 
 def compound_lower_bound(
@@ -69,8 +69,7 @@ def compound_lower_bound(
     """Achievable rate with one code that must serve every listed channel:
     1 - 2^{-k} * sum over branch words of the worst tree-channel
     Bhattacharyya parameter.  Nondecreasing in k up to merge error."""
-    channels = _check_bound_input(channels, k)
-    return _compound_lower(_split_table(channels, k, merge_tol, bhattacharyya))
+    return bound_table(channels, k, merge_tol)[-1][0]
 
 
 def parallel_rate_lower(
@@ -82,9 +81,7 @@ def parallel_rate_lower(
     The channel list order is the caller's stage order; the last listed
     channel contributes its full symmetric capacity.
     """
-    channels = _check_bound_input(channels, k)
-    z = _split_table(channels, k, merge_tol, bhattacharyya)
-    return _parallel_lower(channels, z)
+    return _parallel_bound(channels, k, merge_tol, 1)
 
 
 def parallel_rate_upper(
@@ -92,28 +89,7 @@ def parallel_rate_upper(
 ) -> float:
     """Rate ceiling for the channel-after-channel scheme: each stage is
     capped by the smallest tree-channel capacity among its candidates."""
-    channels = _check_bound_input(channels, k)
-    caps = _split_table(channels, k, merge_tol, capacity_uniform)
-    return _parallel_upper(channels, caps)
-
-
-def bound_table(
-    channels, depth: int, merge_tol: float = DEFAULT_MERGE_TOL
-) -> list[tuple[float, float, float]]:
-    """(compound_lower_bound, parallel_rate_lower, parallel_rate_upper) at
-    every k = 0..depth, read from one split walk per channel."""
-    channels = _check_bound_input(channels, depth)
-    walks = [split_levels(ch, depth, merge_tol) for ch in channels]
-    rows = []
-    for k in range(depth + 1):
-        level = [levels[k] for levels in walks]
-        z, caps = _table(level, bhattacharyya), _table(level, capacity_uniform)
-        rows.append((
-            _compound_lower(z),
-            _parallel_lower(channels, z),
-            _parallel_upper(channels, caps),
-        ))
-    return rows
+    return _parallel_bound(channels, k, merge_tol, 2)
 
 
 def capacity_ascending(channels) -> list[DiscreteChannel]:

@@ -9,6 +9,7 @@ from permpolar.channel import (
     capacity_uniform,
 )
 from permpolar.compound import (
+    bound_table,
     capacity_ascending,
     compound_lower_bound,
     parallel_rate_lower,
@@ -109,6 +110,31 @@ def test_parallel_rate_lower_examples():
     assert all(b >= a - 1e-12 for a, b in zip(v, v[1:]))
     assert v[-1] > 1.02
     assert v[-1] <= 0.4 + 0.7 + 1e-9
+
+
+def test_parallel_bounds_of_one_channel_take_no_split_walk(monkeypatch):
+    import permpolar.polar as polar
+
+    def no_walk(*a):
+        raise AssertionError("split walk for a single channel")
+
+    monkeypatch.setattr(polar, "channel_minus", no_walk)
+    monkeypatch.setattr(polar, "channel_plus", no_walk)
+    for bound in (parallel_rate_lower, parallel_rate_upper):
+        assert bound([bsc(0.11002)], 6, merge_tol=0.0) == capacity_uniform(
+            bsc(0.11002)
+        )
+
+
+def test_bounds_read_one_table():
+    chans = [bsc(0.11002), bec(0.5)]
+    rows = bound_table(chans, 3, merge_tol=0.0)
+    for k, row in enumerate(rows):
+        assert row == (
+            compound_lower_bound(chans, k, merge_tol=0.0),
+            parallel_rate_lower(chans, k, merge_tol=0.0),
+            parallel_rate_upper(chans, k, merge_tol=0.0),
+        )
 
 
 def test_parallel_bounds_never_exceed_capacity_sum():
