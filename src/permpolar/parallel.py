@@ -18,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,17 +373,21 @@ class CoupledScheme:
     k the S symbols form a codeword of the family code whose dimension is
     the number of sets that hold k; the sets that hold k supply it, the
     rest is completed.  Each channel spends m*n binary uses per block.
-    The decoder steps one component decoder per channel through the
-    indices together: at index k the channels whose sets hold k decide,
-    and the completion of their symbols hands the others their frozen
-    symbols before anyone moves on.
+
+    One `ScDecoder` decodes all S channels, its rows grouped by channel,
+    and walks the indices in order.  A run of indices that no set holds is
+    injected as one block of zeros.  At any other index every row
+    decides; where only some sets hold the index, MDS completion of the
+    decisions of the channels whose sets hold it overwrites (`amend`) the
+    rows of the others before anyone moves on.
 
     A subclass fixes how the m bit planes of a codeword are laid out for
-    transmission (`_layout`) and which component decoder reads a channel
-    (`_component`, with `_decide` and `_inject` in symbols).  It also
-    binds `encode` and `decode` in its own namespace: the benchmark's
-    chunk probe replaces and restores `type(scheme).encode`, which leaves
-    it there, and its tracer wraps only classes that own both.
+    transmission (`_layout`), how the received uses become decoder rows
+    (`_decoder_input`) and, when a row holds a bit plane, how decoder
+    values and symbols convert (`_symbols`, `_lanes`).  It also binds
+    `encode` and `decode` in its own namespace: the benchmark's chunk
+    probe replaces and restores `type(scheme).encode`, which leaves it
+    there, and its tracer wraps only classes that own both.
     """
 
     list_size = 1  # components always run successive cancellation
@@ -405,17 +410,29 @@ class CoupledScheme:
         # each index's support (the channels whose sets hold it), and the
         # indices that share each nonempty support: encoding completes a
         # whole group in one call
-        self._support = [
+        supports = [
             tuple(s for s, a in enumerate(info_sets) if k in a) for k in range(n)
         ]
         groups: dict = {}
-        for k, support in enumerate(self._support):
+        for k, support in enumerate(supports):
             if support:
                 groups.setdefault(support, []).append(k)
         self._groups = [(list(p), np.array(idx)) for p, idx in groups.items()]
         missing = {len(p) for p in groups} - set(self.family.dims)
         if missing:
             raise ConstructionError(f"MDS family lacks dimensions {sorted(missing)}")
+        # the decode walk: (first index, index count, support, channels off
+        # it); a run of indices that no set holds has no support
+        self._steps = []
+        k = 0
+        for empty, run in itertools.groupby(supports, key=lambda p: not p):
+            run = list(run)
+            if empty:
+                self._steps.append((k, len(run), None, None))
+            else:
+                for j, p in enumerate(run, k):
+                    self._steps.append((j, 1, list(p), ~np.isin(np.arange(self.S), p)))
+            k += len(run)
         # label and index of each free symbol, in message order
         self._free_labels = np.repeat(np.arange(self.S), [len(a) for a in info_sets])
         self._free_indices = np.array(
@@ -449,32 +466,32 @@ class CoupledScheme:
     def decode(self, received, pi):
         """Recover the information bits; `received[s]` is the output
         sequence of channel s, which carried codeword pi[s]."""
-        pi = _validate_pi(pi, self.S)
+        pi = np.array(_validate_pi(pi, self.S))
         y, squeeze = _received_batch(received, self.S, self.uses_per_channel)
-        decoders = [self._component(s, y[s]) for s in range(self.S)]
-        symbols = np.zeros((self.S, y.shape[1], self.n), dtype=np.int64)
-        for k, support in enumerate(self._support):
-            for s in support:
-                symbols[pi[s], :, k] = self._decide(decoders[s])
-            if len(support) == self.S:
+        batch = y.shape[1]
+        dec = ScDecoder(*self._decoder_input(y))
+        symbols = np.zeros((self.S, batch, self.n), dtype=np.int64)  # by channel
+        for k, count, support, off in self._steps:
+            if support is None:
+                dec.inject(np.zeros((1, count), dtype=np.int64), index=k)
                 continue
-            if support:
-                labels = [pi[s] for s in support]
-                code = self.family.code(len(labels))
-                known = symbols[labels, :, k].T  # (batch, d)
-                symbols[:, :, k] = code.complete_batch(labels, known).T
-            for s in range(self.S):
-                if s not in support:
-                    self._inject(decoders[s], symbols[pi[s], :, k], k)
-        free = symbols[self._free_labels, :, self._free_indices].T
+            decided = self._symbols(dec.decide()).reshape(self.S, batch)
+            if len(support) < self.S:
+                code = self.family.code(len(support))
+                decided = code.complete_batch(pi[support], decided[support].T).T[pi]
+                rows = np.repeat(off, dec.batch // self.S)
+                dec.amend(self._lanes(decided.reshape(-1)), rows)
+            symbols[:, :, k] = decided
+        channel_of = np.argsort(pi)  # the channel that carried each label
+        free = symbols[channel_of[self._free_labels], :, self._free_indices].T
         bits = symbols_to_bits(free, self.field)
         return bits[0] if squeeze else bits
 
-    def _decide(self, decoder) -> np.ndarray:
-        return decoder.decide()
+    def _symbols(self, values: np.ndarray) -> np.ndarray:
+        return values
 
-    def _inject(self, decoder, symbols: np.ndarray, k: int) -> None:
-        decoder.inject(symbols, index=k)
+    def _lanes(self, symbols: np.ndarray) -> np.ndarray:
+        return symbols
 
     def rate(self) -> float:
         return scheme_rate(self)
@@ -518,17 +535,15 @@ class InterleavedScheme(CoupledScheme):
     def _layout(self, planes: np.ndarray) -> np.ndarray:
         return planes.swapaxes(2, 3).reshape(self.S, -1, self.m * self.n)
 
-    def _component(self, s: int, y: np.ndarray) -> ScDecoder:
-        # row b*m + l holds lane l of message b
-        return ScDecoder(self.channels[s], y.reshape(-1, self.n))
+    def _decoder_input(self, y: np.ndarray):
+        # row b*m + l of channel s's block holds lane l of message b
+        return self.channels, list(y.reshape(self.S, -1, self.n))
 
-    def _decide(self, decoder) -> np.ndarray:
-        lanes = decoder.decide().reshape(-1, self.m)
-        return bits_to_symbols(lanes, self.field)[:, 0]
+    def _symbols(self, lanes: np.ndarray) -> np.ndarray:
+        return bits_to_symbols(lanes.reshape(-1, self.m), self.field)[:, 0]
 
-    def _inject(self, decoder, symbols: np.ndarray, k: int) -> None:
-        lanes = symbols_to_bits(symbols[:, None], self.field)
-        decoder.inject(lanes.reshape(-1), index=k)
+    def _lanes(self, symbols: np.ndarray) -> np.ndarray:
+        return symbols_to_bits(symbols[:, None], self.field).reshape(-1)
 
 
 class NonBinaryScheme(CoupledScheme):
@@ -582,8 +597,8 @@ class NonBinaryScheme(CoupledScheme):
             out = out * base + grouped[..., i]
         return out
 
-    def _component(self, s: int, y: np.ndarray) -> ScDecoder:
-        return ScDecoder(self.super_channels[s], self.pack_received(y, s))
+    def _decoder_input(self, y: np.ndarray):
+        return self.super_channels, [self.pack_received(y[s], s) for s in range(self.S)]
 
 
 def scheme_rate(scheme) -> float:

@@ -390,6 +390,14 @@ class ScDecoder:
     Indices must be visited in order 0..n-1; each is either decided from
     the split-channel likelihoods (`decide`) or supplied externally
     (`inject`), which is how frozen symbols resolved mid-decode enter.
+    `amend` overwrites the last index's symbols on some rows before any
+    later step reads them.
+
+    The rows may come from several channels of one input size: `channel`
+    and `received` are then sequences, one channel and one block of
+    received rows each, and the blocks' rows follow one another.  Only the
+    initial likelihoods depend on the channel, so each row decides as it
+    would in a decoder of its own block.
 
     The decoder is lazy.  Depth d of the code tree holds one node's
     likelihoods as a (q, n >> d, rows) buffer, and the symbols fixed so
@@ -404,25 +412,41 @@ class ScDecoder:
     are broken exactly (ties resolve to the smallest symbol value).
     """
 
-    def __init__(self, channel: DiscreteChannel, received, exact: bool = False):
-        received = np.atleast_2d(np.asarray(received, dtype=np.int64))
-        if received.ndim != 2:
+    def __init__(self, channel, received, exact: bool = False):
+        if isinstance(channel, DiscreteChannel):
+            channel, received = (channel,), (received,)
+        channels = tuple(channel)
+        blocks = [np.atleast_2d(np.asarray(y, dtype=np.int64)) for y in received]
+        if not channels or len(channels) != len(blocks):
+            raise ValueError("one block of received rows per channel required")
+        if any(y.ndim != 2 for y in blocks):
             raise ValueError("received must be a vector or a batch of vectors")
-        batch, n = received.shape
+        n, q = blocks[0].shape[1], channels[0].input_size
+        if any(y.shape[1] != n for y in blocks):
+            raise ValueError("received blocks disagree on block length")
+        if any(ch.input_size != q for ch in channels):
+            raise ValueError("channels disagree on input size")
         _check_power_of_two(n)
-        if np.any(received < 0) or np.any(received >= channel.output_size):
-            raise ValueError("received symbol out of the output alphabet")
-        q = channel.input_size
         _check_power_of_two(q)
-        w = channel.transitions
-        if exact:
-            w = np.array([[Fraction(p) for p in row] for row in w], dtype=object)
+        for ch, y in zip(channels, blocks):
+            if np.any(y < 0) or np.any(y >= ch.output_size):
+                raise ValueError("received symbol out of the output alphabet")
+        ends = np.cumsum([len(y) for y in blocks])
+        batch = int(ends[-1])
+        dtype = object if exact else np.float64
         self.n, self.q, self.batch = n, q, batch
         self._depth = n.bit_length() - 1
-        self._like = [w[:, np.ascontiguousarray(received.T)]] + [
-            np.empty((q, n >> d, batch), dtype=w.dtype)
-            for d in range(1, self._depth + 1)
+        self._like = [
+            np.empty((q, n >> d, batch), dtype=dtype) for d in range(self._depth + 1)
         ]
+        for ch, y, end in zip(channels, blocks, ends):
+            w = ch.transitions
+            if exact:
+                w = np.array([[Fraction(p) for p in r] for r in w], dtype=object)
+            block = self._like[0][:, :, end - len(y) : end]
+            np.take(w, y.T, axis=1, out=block, mode="clip")  # y is checked above
+        # the minus step's products, for the largest node
+        self._scratch = np.empty(q * (n >> 1) * batch, dtype=dtype)
         # block[flips[c]][v] is block[v ^ c]; v ^ (q - 1) is a reversed view
         self._flips = [np.arange(q) ^ c for c in range(q - 1)]
         self._flips.append(slice(None, None, -1))
@@ -444,13 +468,16 @@ class ScDecoder:
             left = self._decided[start - size : start]
             if size > 1:  # a single symbol is its own transform
                 left = _butterflies(left.copy(), axis=0)
-            for bit in (1 << b for b in range(self.q.bit_length() - 1)):
-                f = np.where((left & bit) != 0, f[self._flips[bit]], f)
-            np.multiply(f, s, out=out)
+            np.copyto(out, f)
+            for c in range(1, self.q):
+                np.copyto(out, f[self._flips[c]], where=left == c)
+            out *= s
         else:
+            product = self._scratch[: out.size].reshape(out.shape)
             np.multiply(f, s[0], out=out)
             for c in range(1, self.q):
-                out += f[self._flips[c]] * s[c]
+                np.multiply(f[self._flips[c]], s[c], out=product)
+                out += product
         if out.dtype != object:
             # exact mode skips this: it would only grow the rationals
             total = np.add.reduce(out, axis=0)
@@ -493,6 +520,20 @@ class ScDecoder:
         self._decided[i : i + count] = full.reshape(self.batch, -1).T
         self._i += count
         return full
+
+    def amend(self, values, rows) -> None:
+        """Overwrite the last fixed index's symbols, one per row, where the
+        boolean `rows` is true.  No node computed so far depends on them."""
+        if self._i == 0:
+            raise RuntimeError("no index fixed yet")
+        values = np.asarray(values, dtype=np.int64)
+        rows = np.asarray(rows, dtype=bool)
+        if values.shape != (self.batch,) or rows.shape != (self.batch,):
+            raise ValueError(f"amend takes {self.batch} symbols and {self.batch} flags")
+        amended = values[rows]
+        if (amended < 0).any() or (amended >= self.q).any():
+            raise ValueError("amended symbol out of range")
+        np.copyto(self._decided[self._i - 1], values, where=rows, casting="unsafe")
 
     @property
     def decisions(self) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import threading
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 
@@ -43,10 +44,26 @@ class PermutedParallelChannel:
         return len(self.channels)
 
 
-def _lane_rng(seed: int, trial: int, lane: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, (trial << 8) | lane], dtype=np.uint64))
-    )
+# One Philox, rekeyed for every draw: building a generator per (trial,
+# lane) costs several times as much as setting the state of this one.
+_LANE_BITS = np.random.Philox(0)
+_LANE_GEN = np.random.Generator(_LANE_BITS)
+_LANE_LOCK = threading.Lock()
+_FRESH_STATE = _LANE_BITS.state  # zero counter, nothing buffered
+
+
+def _lane_draw(seed: int, trial: int, lane: int, out: np.ndarray) -> None:
+    """Fill `out` from the start of the (trial, lane) stream, that of
+    `Generator(Philox(key=[seed, trial << 8 | lane]))`: uniforms on [0, 1)
+    for a float array, fair bits for an integer one."""
+    key = np.array([seed, (trial << 8) | lane], dtype=np.uint64)
+    with _LANE_LOCK:
+        _FRESH_STATE["state"]["key"] = key
+        _LANE_BITS.state = _FRESH_STATE
+        if out.dtype.kind == "f":
+            _LANE_GEN.random(out=out)
+        else:
+            out[...] = _LANE_GEN.integers(0, 2, out.shape)
 
 
 def transmit(
@@ -70,7 +87,7 @@ def transmit(
     u = np.empty(x.shape[1:])
     for s, ch in enumerate(channel.channels):
         for i in range(x.shape[1]):
-            _lane_rng(seed, trial + i, s).random(out=u[i])
+            _lane_draw(seed, trial + i, s, u[i])
         cdf = np.cumsum(ch.transitions, axis=1)
         # the first index whose cumulative sum exceeds u is the number of
         # sums u reaches among all but the last, which is 1 in exact terms
@@ -124,9 +141,9 @@ def _run_trial_range(scheme, channels, pi, seed, start, stop, chunk):
     t = start
     while t < stop:
         b = min(chunk, stop - t)
-        msgs = np.stack(
-            [_lane_rng(seed, t + i, s_count).integers(0, 2, k) for i in range(b)]
-        )
+        msgs = np.empty((b, k), dtype=np.int64)
+        for i in range(b):
+            _lane_draw(seed, t + i, s_count, msgs[i])
         y = transmit(ppc, scheme.encode(msgs), seed, t)  # (S, b, uses)
         decoded = scheme.decode(list(y), pi)
         wrong = decoded != msgs

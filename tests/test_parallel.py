@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from permpolar.parallel import (
     scheme_rate,
     scheme_to_manifest,
 )
-from permpolar.polar import InformationSet, polar_encode
+from permpolar.polar import InformationSet, ScDecoder, polar_encode
 from permpolar.simrunner import (
     PermutedParallelChannel,
     evaluate,
@@ -378,6 +379,33 @@ def test_coupled_scheme_matches_golden_record(cls):
         y = np.stack([transmit(ppc, x[:, i], 11, i) for i in range(len(msgs))], axis=1)
         decisions.append(sch.decode(list(y), pi))
     assert _digest(np.stack(decisions)) == decided
+
+
+@pytest.mark.parametrize("cls", [InterleavedScheme, NonBinaryScheme])
+def test_coupled_decode_steps_one_decoder_over_the_union(cls, monkeypatch):
+    # one decoder for both channels: a decide per index that some set
+    # holds, a block inject per run of indices that none holds, and the
+    # combines of the decided paths of the union of the sets
+    counts = Counter()
+
+    def counted(name, method):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return call
+
+    for name in ("decide", "inject", "_combine"):
+        monkeypatch.setattr(ScDecoder, name, counted(name, getattr(ScDecoder, name)))
+    sch = cls.build([bsc(0.11002), bec(0.5)], 64, m=2, rates=[0.25, 0.25])
+    msgs = np.random.default_rng(7).integers(0, 2, (4, sch.info_bit_count))
+    y = transmit(PermutedParallelChannel(sch.channels, (1, 0)), sch.encode(msgs), 11)
+    sch.decode(list(y), (1, 0))
+    union = sorted(set(sch.info_sets[0].indices) | set(sch.info_sets[1].indices))
+    runs = sum(1 for k in range(64) if k not in union and (k == 0 or k - 1 in union))
+    paths = 6 + sum((a ^ b).bit_length() for a, b in zip(union, union[1:]))
+    assert len(union) < 32  # the sets overlap
+    assert counts == {"decide": len(union), "inject": runs, "_combine": paths}
 
 
 # Recorded before the MDS codes were rebuilt on one generator-matrix class,

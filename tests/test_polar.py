@@ -11,6 +11,7 @@ from permpolar.channel import (
     bsc,
     capacity_uniform,
     is_degraded,
+    product_power,
     q_ary_symmetric,
 )
 from permpolar.gf import FieldSpec
@@ -522,6 +523,81 @@ def test_block_inject_rejects_bad_blocks():
     dec.inject(np.zeros((1, 2), dtype=int), index=6)
     with pytest.raises(RuntimeError, match="finished"):
         dec.inject(np.zeros((1, 1), dtype=int))
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_row_grouped_decoder_equals_per_channel_decoders(q):
+    # BEC rows reach likelihood ties (and zero planes on contradictory
+    # outputs), so the tie rule is compared too
+    rng = np.random.default_rng(12 + q)
+    if q == 2:
+        channels, n = (bsc(0.2), bec(0.4)), 64
+    else:
+        channels, n = (product_power(bsc(0.11002), 2), product_power(bec(0.5), 2)), 32
+    ys = [rng.integers(0, ch.output_size, (r, n)) for ch, r in zip(channels, (5, 3))]
+    grouped = ScDecoder(channels, ys)
+    singles = [ScDecoder(ch, y) for ch, y in zip(channels, ys)]
+    # 0: frozen (runs injected as blocks), 1: every row decides, 2: the
+    # second channel's rows are amended, 3: random rows are amended
+    kinds = rng.choice(4, n, p=[0.4, 0.2, 0.2, 0.2])
+    i = 0
+    while i < n:
+        if kinds[i] == 0:
+            stop = i + 1
+            while stop < n and kinds[stop] == 0:
+                stop += 1
+            u = rng.integers(0, q, (8, stop - i))
+            grouped.inject(u, index=i)
+            singles[0].inject(u[:5], index=i)
+            singles[1].inject(u[5:], index=i)
+            i = stop
+            continue
+        values = rng.integers(0, q, 8)
+        rows = np.arange(8) >= 5 if kinds[i] == 2 else rng.random(8) < 0.5
+        grouped.decide()
+        leaf = grouped._like[-1][:, 0]
+        for dec, part in zip(singles, (slice(0, 5), slice(5, 8))):
+            if kinds[i] == 2 and part.start == 5:
+                dec.inject(values[part], index=i)
+                continue
+            dec.decide()
+            assert np.array_equal(leaf[:, part], dec._like[-1][:, 0])
+            if kinds[i] == 3:
+                dec.amend(values[part], rows[part])
+        if kinds[i] >= 2:
+            grouped.amend(values, rows)
+        i += 1
+    expected = np.vstack([dec.decisions for dec in singles])
+    assert np.array_equal(grouped.decisions, expected)
+    assert np.array_equal(grouped.codeword, polar_encode(expected))
+
+
+def test_row_grouped_decoder_checks_each_block():
+    bsc_rows, bec_rows = np.zeros((2, 8), dtype=int), np.full((3, 8), 2)
+    ScDecoder((bsc(0.1), bec(0.3)), (bsc_rows, bec_rows))
+    with pytest.raises(ValueError, match="input size"):
+        ScDecoder((bsc(0.1), product_power(bsc(0.1), 2)), (bsc_rows, bsc_rows))
+    with pytest.raises(ValueError, match="output alphabet"):
+        ScDecoder((bsc(0.1), bec(0.3)), (bec_rows, bec_rows))
+    with pytest.raises(ValueError, match="output alphabet"):
+        ScDecoder((bsc(0.1), bec(0.3)), (bsc_rows, bec_rows + 1))
+    with pytest.raises(ValueError, match="block length"):
+        ScDecoder((bsc(0.1), bec(0.3)), (bsc_rows, bec_rows[:, :4]))
+    with pytest.raises(ValueError, match="per channel"):
+        ScDecoder((bsc(0.1), bec(0.3)), (bsc_rows,))
+
+
+def test_amend_rejects_bad_input():
+    dec = ScDecoder(bsc(0.1), np.zeros((3, 4), dtype=int))
+    with pytest.raises(RuntimeError, match="no index"):
+        dec.amend([0, 1, 0], [True] * 3)
+    dec.decide()
+    with pytest.raises(ValueError, match="out of range"):
+        dec.amend([0, 2, 0], [False, True, False])
+    with pytest.raises(ValueError, match="3 symbols"):
+        dec.amend([0, 1], [True, True])
+    dec.amend([0, 2, 1], [False, False, True])
+    assert dec.decisions[2, 0] == 1
 
 
 def test_resolver_receives_prefix():

@@ -7,7 +7,7 @@ from permpolar.polar import InformationSet
 from permpolar.simrunner import (
     PermutedParallelChannel,
     TrialReport,
-    _lane_rng,
+    _lane_draw,
     evaluate,
     reports_to_csv,
     transmit,
@@ -57,6 +57,30 @@ def test_transmit_deterministic_per_seed_and_trial():
     assert not np.array_equal(a, d)
 
 
+def _philox(seed, trial, lane):
+    key = np.array([seed, (trial << 8) | lane], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def test_lane_draw_equals_a_fresh_philox_per_lane():
+    # each draw restarts its own (seed, trial, lane) stream, whatever the
+    # draw before it left in the shared generator's buffers
+    cases = [(0, 0, 0), (11, 37, 3), (2027, 299, 2), (2**40, 12345, 8), (7, 1, 0)]
+    for k in (1, 7, 48, 1025):
+        for seed, trial, lane in cases:
+            bits = np.empty(k, dtype=np.int64)
+            _lane_draw(seed, trial, lane, bits)
+            assert np.array_equal(bits, _philox(seed, trial, lane).integers(0, 2, k))
+            u = np.empty(k)
+            _lane_draw(seed, trial, lane, u)
+            assert np.array_equal(u, _philox(seed, trial, lane).random(k))
+    rows = np.empty((3, 5))
+    for i in range(3):
+        _lane_draw(5, i, 1, rows[i])
+    expected = np.stack([_philox(5, i, 1).random(5) for i in range(3)])
+    assert np.array_equal(rows, expected)
+
+
 # binary input, four outputs: two certain, two noisy
 MIXED = DiscreteChannel(np.array([[0.6, 0.25, 0.15, 0.0], [0.0, 0.15, 0.25, 0.6]]))
 # output 1 never occurs, so two cumulative sums repeat in each row
@@ -78,7 +102,7 @@ def test_transmit_trial_range_equals_per_trial_calls(b):
             # whose cumulative probability exceeds the uniform
             cdf = np.cumsum(ch.transitions, axis=1)
             cdf[:, -1] = 1.0
-            u = _lane_rng(11, start + i, s).random(48)
+            u = _philox(11, start + i, s).random(48)
             ref = (u[:, None] < cdf[x[ppc.pi[s], i]]).argmax(axis=1)
             assert np.array_equal(single[s], ref)
     assert not np.any(y[3] == 1)
@@ -113,6 +137,15 @@ def test_evaluate_chunking_invariance():
     a = evaluate(sch, trials=50, master_seed=9, chunk=50)
     b = evaluate(sch, trials=50, master_seed=9, chunk=7)
     assert reports_to_csv(a) == reports_to_csv(b)
+
+
+@pytest.mark.parametrize("cls", [InterleavedScheme, NonBinaryScheme])
+def test_evaluate_coupled_chunking_invariance(cls):
+    sch = cls.build([bsc(0.11002), bec(0.5)], 64, m=2, rates=[0.25, 0.25])
+    a = evaluate(sch, trials=60, master_seed=2027)
+    b = evaluate(sch, trials=60, master_seed=2027, chunk=1)
+    assert reports_to_csv(a) == reports_to_csv(b)
+    assert sum(r.errors for r in a) > 0
 
 
 class _FirstChunk(Exception):
