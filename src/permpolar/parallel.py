@@ -431,7 +431,8 @@ class CoupledScheme:
                 self._steps.append((k, len(run), None, None))
             else:
                 for j, p in enumerate(run, k):
-                    self._steps.append((j, 1, list(p), ~np.isin(np.arange(self.S), p)))
+                    off = np.array([s not in p for s in range(self.S)])
+                    self._steps.append((j, 1, list(p), off))
             k += len(run)
         # label and index of each free symbol, in message order
         self._free_labels = np.repeat(np.arange(self.S), [len(a) for a in info_sets])
