@@ -32,6 +32,7 @@ from .channel import (
 from .gf import FieldSpec, bits_to_symbols, symbols_to_bits
 from .mds import MdsFamily
 from .polar import (
+    DECODER_FLOATS,
     InformationSet,
     _erasure_parameter,
     ScDecoder,
@@ -89,6 +90,58 @@ def _check_capacity_order(channels) -> None:
             )
 
 
+def _walk_steps(info_sets) -> list:
+    """(first index, index count, support) per step of `_sc_walk`; an
+    index's support is the channels whose sets hold it, and a run of
+    indices that no set holds is one step with no support."""
+    n = info_sets[0].n
+    supports = [tuple(s for s, a in enumerate(info_sets) if k in a) for k in range(n)]
+    steps, k = [], 0
+    for empty, run in itertools.groupby(supports, key=lambda p: not p):
+        run = list(run)
+        if empty:
+            steps.append((k, len(run), None))
+        else:
+            steps.extend((j, 1, p) for j, p in enumerate(run, k))
+        k += len(run)
+    return steps
+
+
+def _sc_walk(dec, steps, family, pi, frozen, out, symbols=None, lanes=None):
+    """Walk `steps` with one `ScDecoder` whose rows are grouped by channel,
+    one equal block each, into out[channel, :, index].  A step without
+    support injects its run of the `frozen` row; at any other index every
+    row decides, and MDS completion of the support's decisions overwrites
+    (`amend`) the other channels' rows.  `symbols` and `lanes` convert
+    decoder values to field symbols and back where a row is a bit plane.
+    """
+    s_count, q = len(pi), family.spec.q
+    # each partial support's completion table, by channel, and the rows off
+    # it: table[j, v] completes symbol v at channel p[j] and 0 elsewhere
+    completions = {}
+    for _, _, p in steps:
+        if p is not None and len(p) < s_count and p not in completions:
+            units = np.arange(q)[:, None] * np.eye(len(p), dtype=np.int64)[:, None]
+            table = family.code(len(p)).complete_batch(pi[list(p)], units)
+            off = np.repeat([s not in p for s in range(s_count)], dec.batch // s_count)
+            completions[p] = table[:, :, pi], off
+    for k, count, support in steps:
+        if support is None:
+            dec.inject(frozen[None, k : k + count], index=k)
+            continue
+        values = dec.decide()
+        decided = (values if symbols is None else symbols(values)).reshape(s_count, -1)
+        if support in completions:
+            table, off = completions[support]
+            full = table[0][decided[support[0]]]
+            for j in range(1, len(support)):
+                full ^= table[j][decided[support[j]]]
+            decided = full.T
+            values = decided.reshape(-1)
+            dec.amend(values if lanes is None else lanes(values), off)
+        out[:, :, k] = decided
+
+
 # ---------------------------------------------------------------------------
 # degraded channel-after-channel scheme
 # ---------------------------------------------------------------------------
@@ -113,11 +166,14 @@ class DegradedScheme:
     channel first; before stage s the layer s-1 completions reconstruct
     every still-unknown frozen value that stage needs.
 
-    Every frozen value of a stage is therefore known before the stage
-    starts, so any decoder of that stage's polar code serves.  With
-    `list_size=1` (the default) each stage runs successive cancellation;
-    a larger list size runs successive cancellation list decoding with
-    that many paths and keeps the most likely one.
+    A frozen value at index k depends only on earlier stages' decisions
+    at k, so with m = 1 and `list_size=1` (the defaults) one `ScDecoder`
+    walks all stages index by index, as `CoupledScheme` does: at an index
+    of layer j channels 0..j decide and completion amends the rest.  Each
+    row sees its stage decoder's operations, so decisions are unchanged.
+    Stages run one after another where a symbol spans m > 1 indices, and
+    where a larger list size runs list decoding with that many paths on
+    each stage and keeps the most likely path.
     """
 
     kind = "degraded"
@@ -176,7 +232,10 @@ class DegradedScheme:
         self._layers = [
             sorted(members[j] - members[j + 1]) for j in range(s_count)
         ]
-        self._frozen_positions = sorted(set(range(n)) - members[0])
+        self._frozen = np.zeros(n, dtype=np.int64)  # b off sets[0]
+        self._frozen[sorted(set(range(n)) - members[0])] = b
+        self._steps = _walk_steps(info_sets)
+        self._walks = m == 1 and self.list_size == 1  # see the class docstring
         needed = {j + 1 for j in range(s_count - 1) if len(self._layers[j])}
         missing = needed - set(self.family.dims)
         if missing:
@@ -275,10 +334,7 @@ class DegradedScheme:
     def encode(self, info_bits) -> np.ndarray:
         """Encode k info bits into S codewords of n bits: (S, batch, n)."""
         bits, squeeze = _as_batch(info_bits, self.info_bit_count)
-        u = self._fill_u(bits)
-        if self._frozen_positions:
-            u[:, :, self._frozen_positions] = self.b
-        x = polar_encode(u)
+        x = polar_encode(self._fill_u(bits) | self._frozen)
         return x[:, 0] if squeeze else x
 
     # -- decode --------------------------------------------------------------
@@ -303,59 +359,54 @@ class DegradedScheme:
         """
         pi = _validate_pi(pi, self.S)
         y, squeeze = _received_batch(received, self.S, self.n)
-        batch = y.shape[1]
-        u = np.zeros((self.S, batch, self.n), dtype=np.int64)
-        records = []
-        for s in range(self.S):
-            label = pi[s]
-            resolved = {}
-            if s >= 1:
-                j = s - 1
-                idx = self._layers[j]
-                if idx:
-                    code = self.family.code(s)
-                    vals = np.stack(
-                        [
-                            bits_to_symbols(u[pi[t]][:, idx], self.field)
-                            for t in range(s)
-                        ],
-                        axis=-1,
-                    )
-                    full = code.complete_batch(tuple(pi[t] for t in range(s)), vals)
-                    for t in range(s, self.S):
-                        u[pi[t]][:, idx] = symbols_to_bits(
-                            full[..., pi[t]], self.field
-                        )
-                    resolved[j] = u[label][:, idx].copy()
-            # frozen values for this stage: static vector plus resolved layers
-            frozen_vals = np.zeros((batch, self.n), dtype=np.int64)
-            if self._frozen_positions:
-                frozen_vals[:, self._frozen_positions] = self.b
-            for j in range(s):
-                idx = self._layers[j]
-                if idx:
-                    frozen_vals[:, idx] = u[label][:, idx]
-            u[label] = list_decode(
-                self.channels[s], y[s], self.info_sets[s], frozen_vals,
-                self.list_size,
-            )
-            if trace:
-                records.append(
-                    StageRecord(
-                        channel=s,
-                        codeword=label,
-                        resolved_layers=resolved,
-                        decoded_layers={
-                            j: u[label][:, self._layers[j]].copy()
-                            for j in range(s, self.S)
-                            if self._layers[j]
-                        },
-                    )
-                )
+        if self._walks:
+            batch, order = y.shape[1], np.array(pi)
+            u = np.zeros((self.S, batch, self.n), dtype=np.int64)  # by channel
+            # the fewest slices of one size whose walks stay within
+            # DECODER_FLOATS, one walk's decoder alive at a time
+            floats = batch * self.S * self.channels[0].input_size * self.n
+            step = -(-batch // -(-floats // DECODER_FLOATS))  # ceilings
+            for a in range(0, batch, step):
+                part = slice(a, a + step)
+                dec = ScDecoder(self.channels, list(y[:, part]))
+                _sc_walk(dec, self._steps, self.family, order, self._frozen, u[:, part])
+                del dec
+            u = u[np.argsort(pi)]  # by label
+        else:
+            u = self._decode_stages(y, pi)
         bits = self._extract_bits(u)
         if squeeze:
             bits = bits[0]
-        return (bits, records) if trace else bits
+        return (bits, self._stage_records(u, pi)) if trace else bits
+
+    def _decode_stages(self, y: np.ndarray, pi) -> np.ndarray:
+        """Decode stage by stage, best channel first; u[label, batch, index]
+        holds every frozen value of stage s when it starts."""
+        u = np.zeros((self.S, y.shape[1], self.n), dtype=np.int64) | self._frozen
+        for s in range(self.S):
+            idx = self._layers[s - 1] if s else []
+            if idx:
+                vals = np.stack(
+                    [bits_to_symbols(u[pi[t]][:, idx], self.field) for t in range(s)],
+                    axis=-1,
+                )
+                full = self.family.code(s).complete_batch(pi[:s], vals)
+                for t in range(s, self.S):
+                    u[pi[t]][:, idx] = symbols_to_bits(full[..., pi[t]], self.field)
+            u[pi[s]] = list_decode(
+                self.channels[s], y[s], self.info_sets[s], u[pi[s]], self.list_size
+            )
+        return u
+
+    def _stage_records(self, u: np.ndarray, pi) -> list:
+        """What each stage resolved and decoded, read from u[label]."""
+        records = []
+        for s in range(self.S):
+            layers = {j: u[pi[s]][:, a] for j, a in enumerate(self._layers) if a}
+            resolved = {j: layers[j] for j in [s - 1] if j in layers}
+            decoded = {j: layers[j] for j in range(s, self.S) if j in layers}
+            records.append(StageRecord(s, pi[s], resolved, decoded))
+        return records
 
     def rate(self) -> float:
         return scheme_rate(self)
@@ -375,11 +426,7 @@ class CoupledScheme:
     rest is completed.  Each channel spends m*n binary uses per block.
 
     One `ScDecoder` decodes all S channels, its rows grouped by channel,
-    and walks the indices in order.  A run of indices that no set holds is
-    injected as one block of zeros.  At any other index every row
-    decides; where only some sets hold the index, MDS completion of the
-    decisions of the channels whose sets hold it overwrites (`amend`) the
-    rows of the others before anyone moves on.
+    walking the indices in order (`_sc_walk`, with frozen symbols 0).
 
     A subclass fixes how the m bit planes of a codeword are laid out for
     transmission (`_layout`), how the received uses become decoder rows
@@ -407,33 +454,17 @@ class CoupledScheme:
         self.m = m
         self.field = FieldSpec(m, field_poly)
         self.family: MdsFamily = MdsFamily(self.field, self.S)
-        # each index's support (the channels whose sets hold it), and the
-        # indices that share each nonempty support: encoding completes a
-        # whole group in one call
-        supports = [
-            tuple(s for s, a in enumerate(info_sets) if k in a) for k in range(n)
-        ]
+        self._steps = _walk_steps(info_sets)
+        # the indices that share each support: encoding completes a whole
+        # group in one call
         groups: dict = {}
-        for k, support in enumerate(supports):
-            if support:
+        for k, _, support in self._steps:
+            if support is not None:
                 groups.setdefault(support, []).append(k)
         self._groups = [(list(p), np.array(idx)) for p, idx in groups.items()]
         missing = {len(p) for p in groups} - set(self.family.dims)
         if missing:
             raise ConstructionError(f"MDS family lacks dimensions {sorted(missing)}")
-        # the decode walk: (first index, index count, support, channels off
-        # it); a run of indices that no set holds has no support
-        self._steps = []
-        k = 0
-        for empty, run in itertools.groupby(supports, key=lambda p: not p):
-            run = list(run)
-            if empty:
-                self._steps.append((k, len(run), None, None))
-            else:
-                for j, p in enumerate(run, k):
-                    off = np.array([s not in p for s in range(self.S)])
-                    self._steps.append((j, 1, list(p), off))
-            k += len(run)
         # label and index of each free symbol, in message order
         self._free_labels = np.repeat(np.arange(self.S), [len(a) for a in info_sets])
         self._free_indices = np.array(
@@ -469,30 +500,19 @@ class CoupledScheme:
         sequence of channel s, which carried codeword pi[s]."""
         pi = np.array(_validate_pi(pi, self.S))
         y, squeeze = _received_batch(received, self.S, self.uses_per_channel)
-        batch = y.shape[1]
+        symbols = np.zeros((self.S, y.shape[1], self.n), dtype=np.int64)  # by channel
         dec = ScDecoder(*self._decoder_input(y))
-        symbols = np.zeros((self.S, batch, self.n), dtype=np.int64)  # by channel
-        for k, count, support, off in self._steps:
-            if support is None:
-                dec.inject(np.zeros((1, count), dtype=np.int64), index=k)
-                continue
-            decided = self._symbols(dec.decide()).reshape(self.S, batch)
-            if len(support) < self.S:
-                code = self.family.code(len(support))
-                decided = code.complete_batch(pi[support], decided[support].T).T[pi]
-                rows = np.repeat(off, dec.batch // self.S)
-                dec.amend(self._lanes(decided.reshape(-1)), rows)
-            symbols[:, :, k] = decided
+        zero = np.zeros(self.n, dtype=np.int64)  # frozen symbols
+        _sc_walk(
+            dec, self._steps, self.family, pi, zero, symbols, self._symbols, self._lanes
+        )
         channel_of = np.argsort(pi)  # the channel that carried each label
         free = symbols[channel_of[self._free_labels], :, self._free_indices].T
         bits = symbols_to_bits(free, self.field)
         return bits[0] if squeeze else bits
 
-    def _symbols(self, values: np.ndarray) -> np.ndarray:
-        return values
-
-    def _lanes(self, symbols: np.ndarray) -> np.ndarray:
-        return symbols
+    # a decoder row holds whole symbols unless a subclass converts
+    _symbols = _lanes = None
 
     def rate(self) -> float:
         return scheme_rate(self)

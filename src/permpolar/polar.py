@@ -384,6 +384,15 @@ def monotone_info_sets(
 # ---------------------------------------------------------------------------
 
 
+# The likelihood floats (rows x q x n) that one decoder is sized to hold, by
+# `evaluate`'s default chunk and by the degraded scheme's walks.
+DECODER_FLOATS = 1 << 21
+
+# Right children of at least this many symbols (size x rows) select planes by
+# masked XOR: it takes more numpy calls, which timed slower on smaller nodes.
+_XOR_SELECT_MIN = 4096
+
+
 class ScDecoder:
     """Stepwise successive cancellation decoder over a batch of words.
 
@@ -468,9 +477,12 @@ class ScDecoder:
             left = self._decided[start - size : start]
             if size > 1:  # a single symbol is its own transform
                 left = _butterflies(left.copy(), axis=0)
-            np.copyto(out, f)
-            for c in range(1, self.q):
-                np.copyto(out, f[self._flips[c]], where=left == c)
+            if out.dtype != object and out[0].size >= _XOR_SELECT_MIN:
+                self._xor_select(out, f, left)
+            else:
+                np.copyto(out, f)
+                for c in range(1, self.q):
+                    np.copyto(out, f[self._flips[c]], where=left == c)
             out *= s
         else:
             product = self._scratch[: out.size].reshape(out.shape)
@@ -483,6 +495,23 @@ class ScDecoder:
             total = np.add.reduce(out, axis=0)
             total[total == 0.0] = 1.0
             out /= total
+
+    def _xor_select(self, out, f, left) -> None:
+        """out[x] = f[x ^ left] on the float bit patterns, one bit of `left`
+        per level: the masked XOR of each plane pair swaps it where the bit
+        is set."""
+        q, size, rows = out.shape
+        src = f
+        for b in range(q.bit_length() - 1):
+            pairs = (q >> (b + 1), 2, 1 << b, size, rows)
+            a = src.view(np.uint64).reshape(pairs)
+            o = out.view(np.uint64).reshape(pairs)
+            t = self._scratch[: out.size // 2].view(np.uint64).reshape(a[:, 0].shape)
+            np.bitwise_xor(a[:, 0], a[:, 1], out=t)
+            t &= np.negative((left >> b) & 1, dtype=np.uint64)  # all ones where set
+            np.bitwise_xor(a[:, 0], t, out=o[:, 0])
+            np.bitwise_xor(a[:, 1], t, out=o[:, 1])
+            src = out
 
     def decide(self) -> np.ndarray:
         """Pick the likelihood-maximizing symbol at the current index."""
@@ -530,8 +559,8 @@ class ScDecoder:
         rows = np.asarray(rows, dtype=bool)
         if values.shape != (self.batch,) or rows.shape != (self.batch,):
             raise ValueError(f"amend takes {self.batch} symbols and {self.batch} flags")
-        amended = values[rows]
-        if (amended < 0).any() or (amended >= self.q).any():
+        # a negative symbol reads as at least 2^63 in uint64
+        if np.count_nonzero(values[rows].view(np.uint64) >= self.q):
             raise ValueError("amended symbol out of range")
         np.copyto(self._decided[self._i - 1], values, where=rows, casting="unsafe")
 

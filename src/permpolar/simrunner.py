@@ -16,6 +16,8 @@ from itertools import permutations as _all_permutations
 
 import numpy as np
 
+from .polar import DECODER_FLOATS
+
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 MAX_ALL_PERMUTATIONS_S = 6  # permutations="all" enumerates at most 6! = 720
 
@@ -188,10 +190,9 @@ def evaluate(
         perm_list = [tuple(int(v) for v in p) for p in permutations]
     uses = scheme.uses_per_channel
     if chunk is None:
-        # keep decoder working sets around a few hundred MB; a list
-        # decoder holds list_size paths per trial
+        # a list decoder holds list_size paths per trial
         per_trial = uses * 2**scheme.m * scheme.list_size
-        chunk = max(1, min(trials, (1 << 21) // per_trial))
+        chunk = max(1, min(trials, DECODER_FLOATS // per_trial))
     rate = scheme.rate()
     if workers > 1:
         # one pool for the whole call: every permutation's trials are split

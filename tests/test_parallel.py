@@ -15,7 +15,7 @@ from permpolar.parallel import (
     scheme_rate,
     scheme_to_manifest,
 )
-from permpolar.polar import InformationSet, ScDecoder, polar_encode
+from permpolar.polar import InformationSet, ScDecoder, list_decode, polar_encode
 from permpolar.simrunner import (
     PermutedParallelChannel,
     evaluate,
@@ -438,6 +438,120 @@ DEGRADED_GOLDEN = {
         "7a8680c20672f592",
     ),
 }
+
+
+def _stages_reference(sch, y, pi):
+    """u[label] from decoding stage by stage with public calls: channel s
+    list-decodes (L = 1) with b, and each earlier layer completed in the
+    family code from the decisions of the stages before it."""
+    batch, n = y.shape[1], sch.n
+    frozen = np.setdiff1d(np.arange(n), sch.info_sets[0].indices)
+    u = np.zeros((sch.S, batch, n), dtype=np.int64)
+    for s in range(sch.S):
+        idx = sch.layer_indices(s - 1) if s else []
+        if idx:
+            known = np.stack([u[pi[t]][:, idx] for t in range(s)], axis=-1)
+            full = sch.family.code(s).complete_batch(pi[:s], known)
+            for t in range(s, sch.S):
+                u[pi[t]][:, idx] = full[..., pi[t]]
+        values = np.zeros((batch, n), dtype=np.int64)
+        values[:, frozen] = sch.b
+        for j in range(s):
+            values[:, sch.layer_indices(j)] = u[pi[s]][:, sch.layer_indices(j)]
+        u[pi[s]] = list_decode(sch.channels[s], y[s], sch.info_sets[s], values, 1)
+    return u
+
+
+@pytest.mark.parametrize(
+    "channels, rates",
+    [
+        ([bsc(0.04), bsc(0.11)], [0.6, 0.4]),
+        ([bec(0.1), bec(0.3), bec(0.5)], [0.75, 0.5, 0.375]),
+        # GF(2) has no dimension-2 MDS code of length 4: layer 1 stays empty
+        ([bec(0.2), bec(0.35), bec(0.4), bec(0.6)], [0.75, 0.5, 0.5, 0.25]),
+    ],
+)
+def test_degraded_walk_equals_stage_by_stage_decoding(channels, rates):
+    built = DegradedScheme.build(channels, 64, rates=rates)
+    rng = np.random.default_rng(len(channels))
+    b = rng.integers(0, 2, 64 - len(built.info_sets[0]))
+    sch = DegradedScheme(built.channels, built.info_sets, b=b)
+    errors = 0
+    for batch in (1, 7):
+        msgs = rng.integers(0, 2, (batch, sch.info_bit_count))
+        x = sch.encode(msgs)
+        for pi in itertools.permutations(range(sch.S)):
+            y = transmit(PermutedParallelChannel(sch.channels, pi), x, 13)
+            bits, records = sch.decode(list(y), pi, trace=True)
+            u = _stages_reference(sch, y, pi)
+            assert np.array_equal(bits, sch._extract_bits(u))
+            layers = {j for j in range(sch.S) if sch.layer_indices(j)}
+            for s, rec in enumerate(records):
+                assert (rec.channel, rec.codeword) == (s, pi[s])
+                assert set(rec.resolved_layers) == {s - 1} & layers
+                assert set(rec.decoded_layers) == {j for j in layers if j >= s}
+                for j, vals in {**rec.resolved_layers, **rec.decoded_layers}.items():
+                    assert np.array_equal(vals, u[pi[s]][:, sch.layer_indices(j)])
+            errors += np.count_nonzero((bits != msgs).any(axis=1))
+    assert errors  # the comparison covers wrong decisions too
+
+
+def test_degraded_decode_walks_one_decoder(monkeypatch):
+    # a decide per index of sets[0], a block inject per run of indices
+    # outside it, the combines of its decided paths, and an amend per
+    # index whose symbols some channels complete rather than decide
+    counts = Counter()
+
+    def counted(name, method):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return call
+
+    for name in ("__init__", "decide", "inject", "_combine", "amend"):
+        monkeypatch.setattr(ScDecoder, name, counted(name, getattr(ScDecoder, name)))
+    sch = DegradedScheme.build(
+        [bec(0.1), bec(0.3), bec(0.5)], 64, rates=[0.75, 0.5, 0.375]
+    )
+    msgs = np.random.default_rng(9).integers(0, 2, (4, sch.info_bit_count))
+    y = transmit(PermutedParallelChannel(sch.channels, (2, 0, 1)), sch.encode(msgs), 11)
+    sch.decode(list(y), (2, 0, 1))
+    first = sch.info_sets[0].indices
+    runs = sum(1 for k in range(64) if k not in first and (k == 0 or k - 1 in first))
+    paths = 6 + sum((a ^ b).bit_length() for a, b in zip(first, first[1:]))
+    assert counts == {
+        "__init__": 1,
+        "decide": len(first),
+        "inject": runs,
+        "_combine": paths,
+        "amend": len(first) - len(sch.info_sets[-1]),
+    }
+
+
+def test_degraded_walks_slice_a_large_batch(monkeypatch):
+    # at most DECODER_FLOATS likelihoods per walk: 7 messages of 3 x 2 x 64
+    # floats, in a budget of just over three messages, walk as 3, 3 and 1
+    import permpolar.parallel as parallel
+
+    sch = DegradedScheme.build(
+        [bec(0.1), bec(0.3), bec(0.5)], 64, rates=[0.75, 0.5, 0.375]
+    )
+    msgs = np.random.default_rng(10).integers(0, 2, (7, sch.info_bit_count))
+    ppc = PermutedParallelChannel(sch.channels, (1, 2, 0))
+    y = list(transmit(ppc, sch.encode(msgs), 12))
+    whole = sch.decode(y, (1, 2, 0))
+    rows = []
+    init = ScDecoder.__init__
+
+    def counted(self, channels, received):
+        rows.append(sum(map(len, received)))
+        init(self, channels, received)
+
+    monkeypatch.setattr(ScDecoder, "__init__", counted)
+    monkeypatch.setattr(parallel, "DECODER_FLOATS", 3 * 3 * 2 * 64 + 1)
+    assert np.array_equal(sch.decode(y, (1, 2, 0)), whole)
+    assert rows == [9, 9, 3]
 
 
 @pytest.mark.parametrize("m", [1, 2])

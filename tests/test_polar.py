@@ -572,6 +572,47 @@ def test_row_grouped_decoder_equals_per_channel_decoders(q):
     assert np.array_equal(grouped.codeword, polar_encode(expected))
 
 
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_xor_plane_select_equals_masked_copies(q, monkeypatch):
+    # the batch's depth-1 and depth-2 right children pick their planes by
+    # masked XOR on the float bits; raising the threshold above every node
+    # sends the same batch through the masked copies.  (One decoder per
+    # word is no reference at q = 8: numpy sums its single-row leaf's eight
+    # planes pairwise, which rounds differently.)
+    from permpolar import polar
+
+    n, rows = 16, 1024
+    assert (n >> 2) * rows >= polar._XOR_SELECT_MIN > n >> 1
+    ch = product_power(bsc(0.2), q.bit_length() - 1)
+    y = np.random.default_rng(20 + q).integers(0, ch.output_size, (rows, n))
+
+    def run():
+        dec, leaves = ScDecoder(ch, y), []
+        for _ in range(n):
+            dec.decide()
+            leaves.append(dec._like[-1][:, 0].copy())
+        return dec.decisions, np.stack(leaves).view(np.uint64)
+
+    shapes = []  # of the nodes that take the XOR path
+    select = ScDecoder._xor_select
+    monkeypatch.setattr(
+        ScDecoder,
+        "_xor_select",
+        lambda self, out, *a: shapes.append(out.shape) or select(self, out, *a),
+    )
+    with monkeypatch.context() as patched:
+        patched.setattr(polar, "_XOR_SELECT_MIN", (n >> 1) * rows + 1)
+        copied = run()
+    assert not shapes
+    selected = run()
+    assert shapes == [(q, 4, rows), (q, 8, rows), (q, 4, rows)]  # indices 4, 8, 12
+    assert np.array_equal(selected[0], copied[0])
+    assert np.array_equal(selected[1], copied[1])
+    every = InformationSet(n, tuple(range(n)))
+    for row, decided in zip(y[:4], selected[0]):
+        assert np.array_equal(sc_decode(PolarTransform(n), every, ch, row), decided)
+
+
 def test_row_grouped_decoder_checks_each_block():
     bsc_rows, bec_rows = np.zeros((2, 8), dtype=int), np.full((3, 8), 2)
     ScDecoder((bsc(0.1), bec(0.3)), (bsc_rows, bec_rows))
@@ -594,6 +635,8 @@ def test_amend_rejects_bad_input():
     dec.decide()
     with pytest.raises(ValueError, match="out of range"):
         dec.amend([0, 2, 0], [False, True, False])
+    with pytest.raises(ValueError, match="out of range"):
+        dec.amend([0, -1, 0], [False, True, False])
     with pytest.raises(ValueError, match="3 symbols"):
         dec.amend([0, 1], [True, True])
     dec.amend([0, 2, 1], [False, False, True])

@@ -154,14 +154,22 @@ class _FirstChunk(Exception):
 
 @pytest.mark.parametrize(
     "kind, expected",
-    [("degraded", 1024), ("degraded-list", 512), ("interleaved", 256), ("symbol", 256)],
+    [
+        ("degraded", 1024),
+        ("degraded-m2", 512),
+        ("degraded-list", 512),
+        ("interleaved", 256),
+        ("symbol", 256),
+    ],
 )
 def test_evaluate_default_chunk(monkeypatch, kind, expected):
-    # 2^21 / (uses per channel * 2^m * list size), read at the first encode
+    # 2^21 / (uses per channel * 2^m * list size), read at the first encode;
+    # the degraded scheme walks its channels in slices within the same budget
     if kind.startswith("degraded"):
         sch = DegradedScheme.build(
             [bec(0.1), bec(0.3), bec(0.5)],
             1024,
+            m=2 if kind == "degraded-m2" else 1,
             rates=[0.75, 0.55, 0.35],
             list_size=2 if kind == "degraded-list" else 1,
         )
