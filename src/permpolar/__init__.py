@@ -37,7 +37,6 @@ from .parallel import (
 )
 from .polar import (
     InformationSet,
-    PolarTransform,
     ScDecoder,
     bec_split_bhattacharyya,
     build_info_set,
@@ -45,7 +44,6 @@ from .polar import (
     list_decode,
     monotone_info_sets,
     polar_encode,
-    sc_decode,
     split_channel_exact,
     split_channels,
 )

@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel as chmod
-from .channel import ResourceLimitError, capacity_uniform
+from .channel import ResourceLimitError
 from .compound import (
     DEFAULT_MERGE_TOL,
     DEPTH_CAP,
     bound_table,
+    capacity_ascending,
 )
 from .parallel import (
     ConstructionError,
@@ -61,7 +62,6 @@ class ExperimentConfig:
 
     scheme: str = "degraded"
     channels: list = field(default_factory=list)
-    channel_specs: list = field(default_factory=list)
     n: int = 0
     m: int = 1
     rates: list | None = None
@@ -121,8 +121,7 @@ def parse_config(text: str) -> ExperimentConfig:
                     )
                 cfg.scheme = value
             elif key == "channels":
-                cfg.channel_specs = value.split()
-                cfg.channels = [_parse_channel(t) for t in cfg.channel_specs]
+                cfg.channels = [_parse_channel(t) for t in value.split()]
             elif key == "n":
                 cfg.n = int(value)
             elif key == "m":
@@ -173,22 +172,24 @@ def _build_scheme(cfg: ExperimentConfig):
         raise ConfigError("set exactly one of rates and threshold")
     if cfg.rates is not None and len(cfg.rates) != len(cfg.channels):
         raise ConfigError("need one rate per channel")
-    if cfg.scheme == "degraded":
-        return DegradedScheme.build(
-            cfg.channels,
-            cfg.n,
-            m=cfg.m,
-            rates=cfg.rates,
-            threshold=cfg.threshold,
-            surrogate=cfg.surrogate,
-        )
-    if cfg.scheme == "interleaved":
-        return InterleavedScheme.build(
+    if cfg.m < 1:
+        raise ConfigError(f"m must be at least 1, got {cfg.m}")
+    try:
+        if cfg.scheme == "degraded":
+            return DegradedScheme.build(
+                cfg.channels,
+                cfg.n,
+                m=cfg.m,
+                rates=cfg.rates,
+                threshold=cfg.threshold,
+                surrogate=cfg.surrogate,
+            )
+        cls = InterleavedScheme if cfg.scheme == "interleaved" else NonBinaryScheme
+        return cls.build(
             cfg.channels, cfg.n, cfg.m, rates=cfg.rates, threshold=cfg.threshold
         )
-    return NonBinaryScheme.build(
-        cfg.channels, cfg.n, cfg.m, rates=cfg.rates, threshold=cfg.threshold
-    )
+    except ValueError as exc:  # ConstructionError included
+        raise ConstructionError(str(exc)) from None
 
 
 def cmd_construct(args) -> int:
@@ -277,7 +278,9 @@ def cmd_bounds(args) -> int:
         )
     if cfg.depth < 0:
         raise ConfigError(f"depth {cfg.depth} is negative")
-    ordered = sorted(cfg.channels, key=capacity_uniform)
+    if any(ch.input_size != 2 for ch in cfg.channels):
+        raise ConfigError("bounds need binary-input channels")
+    ordered = capacity_ascending(cfg.channels)
     lines = ["k,compound_lower,parallel_lower,parallel_upper,merge_tol"]
     rows = bound_table(ordered, cfg.depth, merge_tol=cfg.merge_tol)
     for k, (cl, pl, pu) in enumerate(rows):
@@ -306,11 +309,9 @@ def cmd_selftest(args) -> int:
     from .mds import GrsCode, MdsFamily
     from .polar import (
         InformationSet,
-        PolarTransform,
         bec_split_bhattacharyya,
         list_decode,
         polar_encode,
-        sc_decode,
         split_channel_exact,
     )
 
@@ -342,12 +343,9 @@ def cmd_selftest(args) -> int:
     ]
     check("polar: erasure recursion vs synthesis", np.allclose(z, zx, atol=1e-12))
     rng = np.random.default_rng(0)
-    t = PolarTransform(16)
     full = InformationSet(16, tuple(range(16)))
     u = rng.integers(0, 2, 16)
-    ok = np.array_equal(
-        sc_decode(t, full, chmod.bsc(0.0), polar_encode(u)), u
-    )
+    ok = np.array_equal(list_decode(chmod.bsc(0.0), polar_encode(u), full, 0)[0], u)
     check("polar: noiseless decode", ok)
     # erasure likelihoods normalize to 0, 1/2 and 1, exact in floats
     ok = True
@@ -355,18 +353,18 @@ def cmd_selftest(args) -> int:
         u = rng.integers(0, 2, 16)
         info = InformationSet(16, tuple(np.flatnonzero(rng.random(16) < 0.6)))
         y = np.where(rng.random(16) < 0.4, 2, polar_encode(u))
-        args = (t, info, chmod.bec(0.4), y, lambda i, p: u[i])
-        ok &= np.array_equal(sc_decode(*args), sc_decode(*args, exact=True))
+        args = (chmod.bec(0.4), y, info, u)
+        ok &= np.array_equal(list_decode(*args), list_decode(*args, exact=True))
     u = rng.integers(0, 4, 16)
     quad = chmod.q_ary_symmetric(4, 0.0)
-    args = (PolarTransform(16, f4), full, quad, polar_encode(u))
-    ok &= all(np.array_equal(sc_decode(*args, exact=e), u) for e in (False, True))
+    args = (quad, polar_encode(u), full, 0)
+    ok &= all(np.array_equal(list_decode(*args, exact=e)[0], u) for e in (False, True))
     # an independent oracle: on the erasure channel every input vector
     # that agrees with the unerased outputs is equally likely, so the
     # successive argmax counts them, ties going to 0
     u_all = np.array(list(itertools.product((0, 1), repeat=4)))
     x_all = polar_encode(u_all)
-    t4, full4 = PolarTransform(4), InformationSet(4, tuple(range(4)))
+    full4 = InformationSet(4, tuple(range(4)))
     for y in itertools.product(range(3), repeat=4):
         alive = np.all((x_all == y) | (np.array(y) == 2), axis=1)
         ref = []
@@ -375,7 +373,7 @@ def cmd_selftest(args) -> int:
             zeros = np.count_nonzero(alive & (u_all[:, l] == 0))
             ref.append(int(ones > zeros))
             alive &= u_all[:, l] == ref[-1]
-        lib = sc_decode(t4, full4, chmod.bec(0.5), np.array(y))
+        lib = list_decode(chmod.bec(0.5), np.array(y), full4, 0)[0]
         ok &= np.array_equal(lib, ref)
     check("polar: float SC equals exact-rational SC", ok)
     # float decisions on a seeded noisy corpus, pinned: near-ties there

@@ -232,6 +232,15 @@ class DegradedScheme:
         self._layers = [
             sorted(members[j] - members[j + 1]) for j in range(s_count)
         ]
+        # label and index of each information bit, in message order:
+        # label-major, then layers S-1 down to the label's own
+        labels, indices = [], []
+        for s in range(s_count):
+            for j in range(s_count - 1, s - 1, -1):
+                labels += [s] * len(self._layers[j])
+                indices += self._layers[j]
+        self._free_labels = np.array(labels, dtype=np.int64)
+        self._free_indices = np.array(indices, dtype=np.int64)
         self._frozen = np.zeros(n, dtype=np.int64)  # b off sets[0]
         self._frozen[sorted(set(range(n)) - members[0])] = b
         self._steps = _walk_steps(info_sets)
@@ -296,25 +305,13 @@ class DegradedScheme:
     def layer_indices(self, j: int) -> list[int]:
         return self._layers[j]
 
-    def _info_cells(self):
-        """(row, layer) pairs that hold plain information bits, in the
-        deterministic fill order: row-major, outermost layer last."""
-        for s in range(self.S):
-            for j in range(self.S - 1, s - 1, -1):
-                yield s, j
-
     # -- encode --------------------------------------------------------------
 
     def _fill_u(self, bits: np.ndarray) -> np.ndarray:
         """Scatter info bits and MDS completions into u[label, batch, index]."""
         batch = bits.shape[0]
         u = np.zeros((self.S, batch, self.n), dtype=np.int64)
-        pos = 0
-        for s, j in self._info_cells():
-            width = len(self._layers[j])
-            if width:
-                u[s][:, self._layers[j]] = bits[:, pos : pos + width]
-            pos += width
+        u[self._free_labels, np.arange(batch)[:, None], self._free_indices] = bits
         # complete each layer's missing rows through the family code
         for j in range(self.S - 1):
             idx = self._layers[j]
@@ -340,15 +337,9 @@ class DegradedScheme:
     # -- decode --------------------------------------------------------------
 
     def _extract_bits(self, u: np.ndarray) -> np.ndarray:
-        batch = u.shape[1]
-        out = np.zeros((batch, self.info_bit_count), dtype=np.int64)
-        pos = 0
-        for s, j in self._info_cells():
-            width = len(self._layers[j])
-            if width:
-                out[:, pos : pos + width] = u[s][:, self._layers[j]]
-            pos += width
-        return out
+        # all three indices advanced: a C-ordered (batch, bits) result
+        rows = np.arange(u.shape[1])[:, None]
+        return u[self._free_labels, rows, self._free_indices]
 
     def decode(self, received, pi, trace: bool = False):
         """Recover all information bits from the S received vectors.

@@ -31,9 +31,6 @@ from .channel import (
     is_degraded,
     merge_outputs,
 )
-from .gf import FieldSpec
-
-BINARY = FieldSpec(1)
 
 
 def _check_power_of_two(n: int) -> None:
@@ -65,31 +62,6 @@ def polar_encode(u) -> np.ndarray:
     x = np.array(u, dtype=np.int64)
     _check_power_of_two(x.shape[-1])
     return _butterflies(x)
-
-
-@dataclass(frozen=True)
-class PolarTransform:
-    """Block length and field of the Kronecker-power transform."""
-
-    n: int
-    field: FieldSpec = BINARY
-
-    def __post_init__(self):
-        _check_power_of_two(self.n)
-
-    def encode(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=np.int64)
-        if u.shape[-1] != self.n:
-            raise ValueError(f"input length {u.shape[-1]} != n={self.n}")
-        self.field._check_range(u)
-        return polar_encode(u)
-
-    # the transform is an involution in characteristic 2
-    inverse = encode
-
-    def matrix(self) -> np.ndarray:
-        """The n x n 0/1 generator matrix (row i = transform of e_i)."""
-        return polar_encode(np.eye(self.n, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -405,8 +377,11 @@ class ScDecoder:
     The rows may come from several channels of one input size: `channel`
     and `received` are then sequences, one channel and one block of
     received rows each, and the blocks' rows follow one another.  Only the
-    initial likelihoods depend on the channel, so each row decides as it
-    would in a decoder of its own block.
+    initial likelihoods depend on the channel, so for q <= 4 each row
+    decides as it would in a decoder of its own block.  For q >= 8 a
+    one-row leaf is a (q, 1, 1) buffer, whose plane sum numpy takes
+    pairwise rather than plane by plane as on a larger node, so its last
+    bits may differ from the same row's leaf in a batch.
 
     The decoder is lazy.  Depth d of the code tree holds one node's
     likelihoods as a (q, n >> d, rows) buffer, and the symbols fixed so
@@ -578,41 +553,13 @@ class ScDecoder:
         return polar_encode(self.decisions)
 
 
-def sc_decode(
-    transform: PolarTransform,
-    info_set: InformationSet,
-    channel: DiscreteChannel,
-    received,
-    resolver=None,
-    exact: bool = False,
-) -> np.ndarray:
-    """One-shot successive cancellation decode of a single word.
-
-    `resolver(index, decided_prefix) -> symbol` supplies frozen symbols;
-    it defaults to all-zero.  The result carries the resolver's symbols
-    off the information set and likelihood decisions on it.
-    """
-    received = np.asarray(received, dtype=np.int64)
-    if received.shape != (transform.n,):
-        raise ValueError(f"received must have length {transform.n}")
-    if info_set.n != transform.n:
-        raise ValueError("information set and transform disagree on n")
-    dec = ScDecoder(channel, received[None, :], exact=exact)
-    for i in range(transform.n):
-        if i in info_set:
-            dec.decide()
-        else:
-            prefix = tuple(dec.decisions[0].tolist())
-            dec.inject(0 if resolver is None else int(resolver(i, prefix)), index=i)
-    return dec.decisions[0]
-
-
 def list_decode(
     channel: DiscreteChannel,
     received,
     info_set: InformationSet,
     frozen,
     list_size: int = 1,
+    exact: bool = False,
 ) -> np.ndarray:
     """Decode a batch of words whose frozen values are all known up front.
 
@@ -622,10 +569,11 @@ def list_decode(
     included, as a (batch, n) array.
 
     `list_size=1` is successive cancellation through `ScDecoder`, with its
-    decisions and tie rule; each run of frozen indices is injected as one
-    block.  A larger list size runs successive cancellation list decoding
-    (Tal & Vardy, IEEE Trans. IT 2015) on a binary-input channel and
-    returns the most likely surviving path.
+    decisions and tie rule, on rationals with `exact=True`; each run of
+    frozen indices is injected as one block.  A larger list size runs
+    successive cancellation list decoding (Tal & Vardy, IEEE Trans. IT
+    2015) on a binary-input channel and returns the most likely surviving
+    path; it has no exact mode.
     """
     received = np.atleast_2d(np.asarray(received, dtype=np.int64))
     batch, n = received.shape
@@ -636,7 +584,7 @@ def list_decode(
     if int(list_size) != list_size or list_size < 1:
         raise ValueError(f"list size must be an integer >= 1, got {list_size!r}")
     if list_size == 1:
-        dec, start = ScDecoder(channel, received), 0
+        dec, start = ScDecoder(channel, received, exact), 0
         for i in [*info_set.indices, n]:
             if i > start:
                 dec.inject(frozen[:, start:i], index=start)
@@ -644,6 +592,8 @@ def list_decode(
                 dec.decide()
             start = i + 1
         return dec.decisions
+    if exact:
+        raise ValueError("exact arithmetic needs list size 1")
     if channel.input_size != 2:
         raise ValueError("list decoding expects a binary-input channel")
     if np.any(received < 0) or np.any(received >= channel.output_size):

@@ -34,12 +34,11 @@ from permpolar.parallel import (
 )
 from permpolar.polar import (
     InformationSet,
-    PolarTransform,
     bec_split_bhattacharyya,
     error_event_probability,
+    list_decode,
     monotone_info_sets,
     polar_encode,
-    sc_decode,
     split_channel_exact,
 )
 from permpolar.simrunner import evaluate
@@ -97,16 +96,15 @@ def _oracle_trajectory_fraction(ch, n, y):
 def test_criterion_01_sc_equals_exhaustive_argmax():
     started = time.monotonic()
     for n in (2, 4, 8):
-        t = PolarTransform(n)
         full = InformationSet(n, tuple(range(n)))
         ch = bec(0.5)
         for y in itertools.product(range(3), repeat=n):
-            lib = sc_decode(t, full, ch, np.array(y), exact=True)
+            lib = list_decode(ch, np.array(y), full, 0, exact=True)[0]
             ref = _oracle_trajectory_bec_counting(n, y)
             assert np.array_equal(lib, ref), f"BEC mismatch at n={n}, y={y}"
         ch = bsc(0.1)
         for y in itertools.product(range(2), repeat=n):
-            lib = sc_decode(t, full, ch, np.array(y), exact=True)
+            lib = list_decode(ch, np.array(y), full, 0, exact=True)[0]
             ref = _oracle_trajectory_fraction(ch, n, y)
             assert np.array_equal(lib, ref), f"BSC mismatch at n={n}, y={y}"
     elapsed = time.monotonic() - started

@@ -177,6 +177,27 @@ def test_surrogate_infeasible_exits_3_with_one_line(tmp_path, capsys, channels, 
     assert not man.exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, code",
+    [
+        ("construct", "scheme = interleaved\nn = 1000\nm = 2\n", 3),
+        ("construct", "scheme = nonbinary\nn = 1000\nm = 2\n", 3),
+        ("construct", "scheme = interleaved\nn = 32\nrates = 1.5 0.3\n", 3),
+        ("construct", "scheme = nonbinary\nn = 32\nm = 5\n", 3),
+        ("construct", "scheme = interleaved\nchannels = qsc:4:0.1 bec:0.4\n", 3),
+        ("construct", "scheme = degraded\nn = 32\nm = 0\n", 2),
+        ("bounds", "channels = qsc:4:0.1 bsc:0.1\ndepth = 2\n", 2),
+    ],
+    ids=["interleaved-n", "nonbinary-n", "rate", "m5", "qsc", "m0", "bounds-qsc"],
+)
+def test_bad_build_exits_with_one_line(tmp_path, capsys, command, text, code):
+    # later keys override the defaults
+    base = "channels = bec:0.1 bec:0.4\nn = 32\nm = 2\nrates = 0.5 0.3\n"
+    cfg = write(tmp_path, "bad.cfg", base + text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 def test_bounds_csv(tmp_path):
     cfg = write(
         tmp_path,

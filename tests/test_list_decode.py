@@ -236,6 +236,8 @@ def test_list_decode_validation():
         list_decode(bsc(0.1), np.zeros(4, dtype=int), info, np.full(4, 2), 2)
     with pytest.raises(ValueError, match="output alphabet"):
         list_decode(bsc(0.1), np.full(4, 2), info, np.zeros(4), 2)
+    with pytest.raises(ValueError, match="exact"):
+        list_decode(bsc(0.1), np.zeros(4, dtype=int), info, np.zeros(4), 2, exact=True)
 
 
 # -- the degraded scheme with a list decoder ------------------------------------
