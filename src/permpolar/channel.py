@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_OUTPUT_CAP = 1 << 20
@@ -129,13 +128,46 @@ def is_degraded(
 ) -> np.ndarray | None:
     """Search for a channel D with P2 = P1 @ D.
 
-    Solves the linear feasibility problem as min-max-residual LP and
-    returns the witness matrix when the optimum is within `tol`; returns
-    None when no such intermediate channel exists.  Absence is a result,
-    not an error.
+    Returns the witness matrix, or None when none exists within `tol`;
+    absence is a result, not an error.  Two erasure-like channels (see
+    `is_bec_like`) are decided in closed form: BEC(e2) is a degraded
+    BEC(e1) iff e1 <= e2.  Any other pair is a min-max-residual LP, and
+    `scipy.optimize` is imported at the first one.
     """
     if p1.input_size != p2.input_size:
         raise ValueError("channels must share an input alphabet")
+    e1, e2 = is_bec_like(p1, tol), is_bec_like(p2, tol)
+    if e1 is not None and e2 is not None:
+        if e1 > e2 + tol:
+            return None
+        d = _erasure_witness(p1.transitions, p2.transitions, tol)
+        if np.max(np.abs(p1.transitions @ d - p2.transitions)) <= tol:
+            return d
+    return _lp_witness(p1, p2, tol)
+
+
+def _erasure_witness(t1: np.ndarray, t2: np.ndarray, tol: float) -> np.ndarray:
+    """D with t1 @ D = t2 for erasure-like channels with e1 <= e2: a known
+    output of x stays known w.p. (1 - e2) / (1 - e1), spread over t2's
+    known outputs of x by mass; all other mass goes to t2's erasures."""
+    known1 = (t1 > tol) & ~np.all(t1 > tol, axis=0)
+    erased2 = np.all(t2 > tol, axis=0)
+    known2 = np.where(erased2, 0.0, t2 * (t2 > tol))
+    w = t2.mean(axis=0) * erased2
+    w = w / w.sum() if w.sum() > 0 else t2.mean(axis=0)
+    d = np.tile(w, (t1.shape[1], 1))
+    for x in range(2):
+        k1, k2 = t1[x, known1[x]].sum(), known2[x].sum()
+        if k1 > 0 and k2 > 0:
+            r = min(1.0, k2 / k1)
+            d[known1[x]] = r * known2[x] / k2 + (1.0 - r) * w
+    return d
+
+
+def _lp_witness(p1: DiscreteChannel, p2: DiscreteChannel, tol: float):
+    """`is_degraded` for any pair, by linear feasibility."""
+    from scipy.optimize import linprog
+
     q = p1.input_size
     y1, y2 = p1.output_size, p2.output_size
     nvar = y1 * y2 + 1  # D entries plus the residual bound t

@@ -316,6 +316,8 @@ def monotone_info_sets(
         raise ValueError("specify exactly one of rates and threshold")
     if rates is not None and len(rates) != s_count:
         raise ValueError("one rate per channel required")
+    if size_multiple < 1:
+        raise ValueError(f"size_multiple must be at least 1, got {size_multiple}")
     for s in range(s_count - 1):
         better, worse = channels[s], channels[s + 1]
         if method == "surrogate":

@@ -1,8 +1,14 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import permpolar.channel
 from permpolar.channel import (
     DiscreteChannel,
     ResourceLimitError,
@@ -20,6 +26,9 @@ from permpolar.channel import (
     product_power,
     q_ary_symmetric,
 )
+from permpolar.polar import channel_plus, split_channel_exact
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_constructor_validation():
@@ -95,6 +104,67 @@ def test_bsc_from_bec_needs_quarter_crossover():
     # erasure rate 0.5 supports crossover 0.25 but nothing cleaner
     assert is_degraded(bec(0.5), bsc(0.25)) is not None
     assert is_degraded(bec(0.5), bsc(0.2)) is None
+
+
+def _erasure_layouts(eps):
+    """Erasure-like channels of erasure probability eps in several layouts."""
+    t = bec(eps).transitions
+    yield bec(eps)
+    yield DiscreteChannel(t[:, [2, 0, 1]])
+    yield DiscreteChannel(np.column_stack([t[:, :2], 0.3 * t[:, 2:], 0.7 * t[:, 2:]]))
+    yield channel_plus(bec(eps))  # 18 outputs, unmerged
+
+
+def test_erasure_degradation_matches_lp(monkeypatch):
+    lp_witness = permpolar.channel._lp_witness
+
+    def no_lp(*args):
+        raise AssertionError("an erasure pair reached the LP")
+
+    monkeypatch.setattr(permpolar.channel, "_lp_witness", no_lp)
+    grid = (0.0, 0.1, 0.3, 0.5, 0.9, 1.0)
+    layouts = [ch for eps in grid for ch in _erasure_layouts(eps)]
+    layouts += [bsc(0.0), bsc(0.5)]
+    splits = [split_channel_exact(bec(eps), 4, l) for eps in grid for l in range(4)]
+    pairs = [
+        *itertools.product(layouts, repeat=2), *itertools.product(splits, repeat=2)
+    ]
+    checked = 0
+    for p1, p2 in pairs:
+        assert is_bec_like(p1) is not None and is_bec_like(p2) is not None
+        d = is_degraded(p1, p2)
+        assert (d is None) == (lp_witness(p1, p2, 1e-9) is None)
+        if d is not None:
+            assert np.all(d >= 0)
+            assert np.max(np.abs(d.sum(axis=1) - 1.0)) <= 1e-12
+            assert np.max(np.abs(p1.transitions @ d - p2.transitions)) <= 1e-9
+            checked += 1
+    assert checked > len(pairs) // 3
+
+
+def _loads_lp(code):
+    code = "import sys\n" + code + "\nprint('scipy.optimize' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return out.stdout.split()[-1] == "True"
+
+
+def test_only_non_erasure_degradation_loads_the_lp_solver():
+    assert not _loads_lp(
+        "import permpolar.cli\n"
+        "from permpolar import DegradedScheme, NonBinaryScheme, bec, bsc\n"
+        "DegradedScheme.build([bec(0.1), bec(0.3), bec(0.5)], 64,"
+        " rates=[0.6, 0.4, 0.2])\n"
+        "NonBinaryScheme.build([bsc(0.11002), bec(0.5)], 16, m=2, rates=[0.25, 0.25])"
+    )
+    assert _loads_lp(
+        "from permpolar import DegradedScheme, bsc\n"
+        "DegradedScheme.build([bsc(0.05), bsc(0.2)], 64, rates=[0.5, 0.2])"
+    )
 
 
 def test_symmetry_witness_bsc():

@@ -218,6 +218,11 @@ def test_degraded_build_orders_and_verifies():
         )
 
 
+def test_degraded_build_rejects_zero_size_multiple():
+    with pytest.raises(ConstructionError, match="at least 1"):
+        DegradedScheme.build([bec(0.1), bec(0.4)], 32, m=0, rates=[0.5, 0.3])
+
+
 def test_degraded_build_surrogate_mode():
     chans = [bec(0.5), bsc(0.11002)]  # Bhattacharyya ascending
     sch = DegradedScheme.build(chans, 32, rates=[0.3, 0.15], surrogate=True)
