@@ -34,7 +34,7 @@ class DiscreteChannel:
         if np.any(t < -ROW_SUM_TOL):
             raise ValueError("transition probabilities must be nonnegative")
         rows = t.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-9):
+        if not np.all(np.abs(rows - 1.0) <= 1e-9):  # NaN fails too
             raise ValueError("every transition row must sum to 1")
         t = np.clip(t, 0.0, None)
         t = t / t.sum(axis=1, keepdims=True)
@@ -384,25 +384,51 @@ def is_bec_like(ch: DiscreteChannel, tol: float = 1e-9) -> float | None:
 
 
 def channel_to_text(ch: DiscreteChannel) -> str:
-    """Plain-text form: first line 'q out', then q probability rows."""
-    lines = [f"{ch.input_size} {ch.output_size}"]
-    for row in ch.transitions:
-        lines.append(" ".join(repr(float(p)) for p in row))
-    return "\n".join(lines) + "\n"
+    """One line: `bec e` or `bsc p` when the channel is exactly that one,
+    else `matrix q out` followed by the q rows of probabilities."""
+    eps = is_bec_like(ch)
+    if eps is not None and ch == bec(eps):
+        return f"bec {eps!r}"
+    p = float(ch.transitions[0, 1]) if ch.transitions.shape == (2, 2) else None
+    if p is not None and ch == bsc(p):
+        return f"bsc {p!r}"
+    flat = " ".join(repr(float(v)) for v in ch.transitions.reshape(-1))
+    return f"matrix {ch.input_size} {ch.output_size} {flat}"
 
 
 def channel_from_text(text: str) -> DiscreteChannel:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    try:
-        q, out = (int(v) for v in lines[0].split())
-    except (ValueError, IndexError):
-        raise ValueError("first line must be 'q out'") from None
-    if len(lines) != q + 1:
-        raise ValueError(f"expected {q} probability rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = [float(v) for v in ln.split()]
-        if len(row) != out:
+    """Read `channel_to_text`'s form, `qsc q p`, or the older layout: a
+    line `q out`, then q rows of out probabilities.
+
+    Probabilities are kept as written, not renormalised: a row that was
+    normalised once need not survive a second normalisation, and then a
+    channel would not read back as itself.
+    """
+    kind, *args = text.split() or [""]
+    arity = {"bec": 1, "bsc": 1, "qsc": 2}.get(kind)
+    if arity is not None:
+        if len(args) != arity:
+            raise ValueError(f"{kind!r} takes {arity} values, got {len(args)}")
+        if kind == "qsc":
+            return q_ary_symmetric(int(args[0]), float(args[1]))
+        return (bec if kind == "bec" else bsc)(float(args[0]))
+    if kind == "matrix":
+        q, out = (int(v) for v in args[:2])
+        values = args[2:]
+    else:
+        lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+        try:
+            q, out = (int(v) for v in lines[0])
+        except (ValueError, IndexError):
+            raise ValueError("expected bec, bsc, qsc, matrix or a 'q out' line") from None
+        if any(len(row) != out for row in lines[1:]):
             raise ValueError(f"expected {out} entries per row")
-        rows.append(row)
-    return DiscreteChannel(np.array(rows))
+        values = [v for row in lines[1:] for v in row]
+    if len(values) != q * out:
+        raise ValueError(f"a {q} x {out} matrix takes {q * out} entries, got {len(values)}")
+    t = np.array(values, dtype=np.float64).reshape(q, out)
+    ch = DiscreteChannel(t)  # validates
+    t = np.clip(t, 0.0, None)
+    t.flags.writeable = False
+    object.__setattr__(ch, "transitions", t)
+    return ch

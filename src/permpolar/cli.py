@@ -25,6 +25,7 @@ from .compound import (
     capacity_ascending,
 )
 from .parallel import (
+    SCHEMES,
     ConstructionError,
     DegradedScheme,
     InterleavedScheme,
@@ -37,23 +38,6 @@ from .simrunner import MAX_ALL_PERMUTATIONS_S, evaluate, reports_to_csv
 
 class ConfigError(ValueError):
     pass
-
-
-_KNOWN_KEYS = {
-    "scheme",
-    "channels",
-    "n",
-    "m",
-    "rates",
-    "threshold",
-    "trials",
-    "seed",
-    "permutations",
-    "out",
-    "depth",
-    "merge_tol",
-    "surrogate",
-}
 
 
 @dataclass
@@ -76,21 +60,16 @@ class ExperimentConfig:
 
 
 def _parse_channel(token: str):
-    parts = token.split(":")
-    kind = parts[0]
+    """`file:PATH`, or a channel's text form with `:` between its fields,
+    such as `bec:0.1` (see `channel.channel_from_text`)."""
+    kind, _, path = token.partition(":")
     try:
-        if kind == "bec":
-            return chmod.bec(float(parts[1]))
-        if kind == "bsc":
-            return chmod.bsc(float(parts[1]))
-        if kind == "qsc":
-            return chmod.q_ary_symmetric(int(parts[1]), float(parts[2]))
         if kind == "file":
-            with open(parts[1]) as fh:
+            with open(path) as fh:
                 return chmod.channel_from_text(fh.read())
-    except (IndexError, ValueError, OSError) as exc:
-        raise ConfigError(f"bad channel token {token!r}: {exc}") from None
-    raise ConfigError(f"unknown channel kind {kind!r}")
+        return chmod.channel_from_text(token.replace(":", " "))
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"bad channel token {token!r}: {exc}") from None
 
 
 def _parse_permutations(value: str):
@@ -98,6 +77,33 @@ def _parse_permutations(value: str):
     if value == "all":
         return "all"
     return [tuple(int(v) for v in grp.split(",")) for grp in value.split(";")]
+
+
+def _one_of(*choices):
+    def parse(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    return parse
+
+
+# one parser per ExperimentConfig field
+_PARSERS = {
+    "scheme": _one_of(*SCHEMES),
+    "channels": lambda v: [_parse_channel(t) for t in v.split()],
+    "n": int,
+    "m": int,
+    "rates": lambda v: [float(t) for t in v.split()],
+    "threshold": float,
+    "trials": int,
+    "seed": int,
+    "permutations": _parse_permutations,
+    "out": str,
+    "depth": int,
+    "merge_tol": float,
+    "surrogate": lambda v: _one_of("true", "false")(v) == "true",
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -108,50 +114,13 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KNOWN_KEYS:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key == "scheme":
-                if value not in ("degraded", "interleaved", "nonbinary"):
-                    raise ConfigError(
-                        f"line {lineno}: unknown scheme {value!r}"
-                    )
-                cfg.scheme = value
-            elif key == "channels":
-                cfg.channels = [_parse_channel(t) for t in value.split()]
-            elif key == "n":
-                cfg.n = int(value)
-            elif key == "m":
-                cfg.m = int(value)
-            elif key == "rates":
-                cfg.rates = [float(v) for v in value.split()]
-            elif key == "threshold":
-                cfg.threshold = float(value)
-            elif key == "trials":
-                cfg.trials = int(value)
-            elif key == "seed":
-                cfg.seed = int(value)
-            elif key == "permutations":
-                cfg.permutations = _parse_permutations(value)
-            elif key == "out":
-                cfg.out = value
-            elif key == "depth":
-                cfg.depth = int(value)
-            elif key == "merge_tol":
-                cfg.merge_tol = float(value)
-            elif key == "surrogate":
-                if value not in ("true", "false"):
-                    raise ConfigError(
-                        f"line {lineno}: surrogate must be true or false"
-                    )
-                cfg.surrogate = value == "true"
-        except ConfigError:
-            raise
+            setattr(cfg, key, _PARSERS[key](value))
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
     return cfg
 
 
@@ -174,19 +143,12 @@ def _build_scheme(cfg: ExperimentConfig):
         raise ConfigError("need one rate per channel")
     if cfg.m < 1:
         raise ConfigError(f"m must be at least 1, got {cfg.m}")
+    if cfg.surrogate and cfg.scheme != "degraded":
+        raise ConfigError(f"surrogate = true needs scheme = degraded, not {cfg.scheme}")
+    options = {"surrogate": True} if cfg.surrogate else {}
     try:
-        if cfg.scheme == "degraded":
-            return DegradedScheme.build(
-                cfg.channels,
-                cfg.n,
-                m=cfg.m,
-                rates=cfg.rates,
-                threshold=cfg.threshold,
-                surrogate=cfg.surrogate,
-            )
-        cls = InterleavedScheme if cfg.scheme == "interleaved" else NonBinaryScheme
-        return cls.build(
-            cfg.channels, cfg.n, cfg.m, rates=cfg.rates, threshold=cfg.threshold
+        return SCHEMES[cfg.scheme].build(
+            cfg.channels, cfg.n, m=cfg.m, rates=cfg.rates, threshold=cfg.threshold, **options
         )
     except ValueError as exc:  # ConstructionError included
         raise ConstructionError(str(exc)) from None

@@ -18,23 +18,19 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    DiscreteChannel,
-    capacity_uniform,
-    is_bec_like,
-    product_power,
-)
+from .channel import capacity_uniform, channel_from_text, channel_to_text, product_power
 from .gf import FieldSpec, bits_to_symbols, symbols_to_bits
 from .mds import MdsFamily
 from .polar import (
     DECODER_FLOATS,
     InformationSet,
     _erasure_parameter,
+    _sc_walk,
+    _walk_steps,
     ScDecoder,
     build_info_set,
     list_decode,
@@ -90,56 +86,19 @@ def _check_capacity_order(channels) -> None:
             )
 
 
-def _walk_steps(info_sets) -> list:
-    """(first index, index count, support) per step of `_sc_walk`; an
-    index's support is the channels whose sets hold it, and a run of
-    indices that no set holds is one step with no support."""
-    n = info_sets[0].n
-    supports = [tuple(s for s, a in enumerate(info_sets) if k in a) for k in range(n)]
-    steps, k = [], 0
-    for empty, run in itertools.groupby(supports, key=lambda p: not p):
-        run = list(run)
-        if empty:
-            steps.append((k, len(run), None))
-        else:
-            steps.extend((j, 1, p) for j, p in enumerate(run, k))
-        k += len(run)
-    return steps
-
-
-def _sc_walk(dec, steps, family, pi, frozen, out, symbols=None, lanes=None):
-    """Walk `steps` with one `ScDecoder` whose rows are grouped by channel,
-    one equal block each, into out[channel, :, index].  A step without
-    support injects its run of the `frozen` row; at any other index every
-    row decides, and MDS completion of the support's decisions overwrites
-    (`amend`) the other channels' rows.  `symbols` and `lanes` convert
-    decoder values to field symbols and back where a row is a bit plane.
-    """
+def _completions(steps, family, pi, rows: int) -> dict:
+    """`_sc_walk`'s completions for permutation `pi`, by partial support
+    p: a table, table[j, v] completing symbol v at channel p[j] and 0
+    elsewhere, and the mask of the rows to amend, `rows` per channel off p."""
     s_count, q = len(pi), family.spec.q
-    # each partial support's completion table, by channel, and the rows off
-    # it: table[j, v] completes symbol v at channel p[j] and 0 elsewhere
     completions = {}
     for _, _, p in steps:
         if p is not None and len(p) < s_count and p not in completions:
             units = np.arange(q)[:, None] * np.eye(len(p), dtype=np.int64)[:, None]
             table = family.code(len(p)).complete_batch(pi[list(p)], units)
-            off = np.repeat([s not in p for s in range(s_count)], dec.batch // s_count)
+            off = np.repeat([s not in p for s in range(s_count)], rows)
             completions[p] = table[:, :, pi], off
-    for k, count, support in steps:
-        if support is None:
-            dec.inject(frozen[None, k : k + count], index=k)
-            continue
-        values = dec.decide()
-        decided = (values if symbols is None else symbols(values)).reshape(s_count, -1)
-        if support in completions:
-            table, off = completions[support]
-            full = table[0][decided[support[0]]]
-            for j in range(1, len(support)):
-                full ^= table[j][decided[support[j]]]
-            decided = full.T
-            values = decided.reshape(-1)
-            dec.amend(values if lanes is None else lanes(values), off)
-        out[:, :, k] = decided
+    return completions
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +200,8 @@ class DegradedScheme:
                 indices += self._layers[j]
         self._free_labels = np.array(labels, dtype=np.int64)
         self._free_indices = np.array(indices, dtype=np.int64)
-        self._frozen = np.zeros(n, dtype=np.int64)  # b off sets[0]
-        self._frozen[sorted(set(range(n)) - members[0])] = b
+        self._frozen = np.zeros((1, n), dtype=np.int64)  # b off sets[0]
+        self._frozen[0, sorted(set(range(n)) - members[0])] = b
         self._steps = _walk_steps(info_sets)
         self._walks = m == 1 and self.list_size == 1  # see the class docstring
         needed = {j + 1 for j in range(s_count - 1) if len(self._layers[j])}
@@ -360,7 +319,8 @@ class DegradedScheme:
             for a in range(0, batch, step):
                 part = slice(a, a + step)
                 dec = ScDecoder(self.channels, list(y[:, part]))
-                _sc_walk(dec, self._steps, self.family, order, self._frozen, u[:, part])
+                tables = _completions(self._steps, self.family, order, dec.batch // self.S)
+                _sc_walk(dec, self._steps, self._frozen, u[:, part], tables)
                 del dec
             u = u[np.argsort(pi)]  # by label
         else:
@@ -493,10 +453,9 @@ class CoupledScheme:
         y, squeeze = _received_batch(received, self.S, self.uses_per_channel)
         symbols = np.zeros((self.S, y.shape[1], self.n), dtype=np.int64)  # by channel
         dec = ScDecoder(*self._decoder_input(y))
-        zero = np.zeros(self.n, dtype=np.int64)  # frozen symbols
-        _sc_walk(
-            dec, self._steps, self.family, pi, zero, symbols, self._symbols, self._lanes
-        )
+        tables = _completions(self._steps, self.family, pi, dec.batch // self.S)
+        zero = np.zeros((1, self.n), dtype=np.int64)  # frozen symbols
+        _sc_walk(dec, self._steps, zero, symbols, tables, self._symbols, self._lanes)
         channel_of = np.argsort(pi)  # the channel that carried each label
         free = symbols[channel_of[self._free_labels], :, self._free_indices].T
         bits = symbols_to_bits(free, self.field)
@@ -613,6 +572,9 @@ class NonBinaryScheme(CoupledScheme):
         return self.super_channels, [self.pack_received(y[s], s) for s in range(self.S)]
 
 
+SCHEMES = {cls.kind: cls for cls in (DegradedScheme, InterleavedScheme, NonBinaryScheme)}
+
+
 def scheme_rate(scheme) -> float:
     """Total information bits per channel use, summed over the S channels.
 
@@ -625,38 +587,6 @@ def scheme_rate(scheme) -> float:
 # ---------------------------------------------------------------------------
 # manifests
 # ---------------------------------------------------------------------------
-
-
-def _channel_descriptor(ch: DiscreteChannel) -> str:
-    from . import channel as chmod
-
-    eps = is_bec_like(ch)
-    if eps is not None and ch == chmod.bec(eps):
-        return f"bec {float(eps)!r}"
-    if ch.input_size == 2 and ch.output_size == 2:
-        p = float(ch.transitions[0, 1])
-        if ch == chmod.bsc(p):
-            return f"bsc {p!r}"
-    flat = " ".join(repr(float(v)) for v in ch.transitions.reshape(-1))
-    return f"matrix {ch.input_size} {ch.output_size} {flat}"
-
-
-def _channel_from_descriptor(text: str) -> DiscreteChannel:
-    from . import channel as chmod
-
-    parts = text.split()
-    kind = parts[0]
-    if kind == "bec":
-        return chmod.bec(float(parts[1]))
-    if kind == "bsc":
-        return chmod.bsc(float(parts[1]))
-    if kind == "matrix":
-        q, out = int(parts[1]), int(parts[2])
-        vals = [float(v) for v in parts[3:]]
-        if len(vals) != q * out:
-            raise ValueError("matrix descriptor has the wrong entry count")
-        return DiscreteChannel(np.array(vals).reshape(q, out))
-    raise ValueError(f"unknown channel descriptor {kind!r}")
 
 
 def scheme_to_manifest(scheme) -> str:
@@ -673,7 +603,7 @@ def scheme_to_manifest(scheme) -> str:
         f"poly 0x{scheme.field.primitive_poly:x}",
     ]
     for ch in scheme.channels:
-        lines.append(f"channel {_channel_descriptor(ch)}")
+        lines.append(f"channel {channel_to_text(ch)}")
     for a in scheme.info_sets:
         lines.append(f"set {a.to_text()}")
     if scheme.kind == "degraded":
@@ -687,45 +617,36 @@ def scheme_from_manifest(text: str):
     fields = {}
     channels = []
     sets = []
-    b_bits = None
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
         if key == "channel":
-            channels.append(_channel_from_descriptor(rest))
+            channels.append(channel_from_text(rest))
         elif key == "set":
             sets.append(InformationSet.from_text(rest))
-        elif key == "b":
-            b_bits = rest.strip()
-        else:
+        elif key in ("scheme", "S", "n", "m", "poly", "b", "list"):
             fields[key] = rest.strip()
-    list_size = int(fields.pop("list", 1))
+        else:
+            raise ValueError(f"unknown manifest key {key!r}")
     for required in ("scheme", "S", "n", "m", "poly"):
         if required not in fields:
             raise ValueError(f"manifest is missing the {required!r} field")
     kind = fields["scheme"]
-    s_count = int(fields["S"])
+    if kind not in SCHEMES:
+        raise ValueError(f"unknown scheme kind {kind!r}")
     n = int(fields["n"])
-    m = int(fields["m"])
-    poly = int(fields["poly"], 16)
-    if len(channels) != s_count or len(sets) != s_count:
+    if len(channels) != int(fields["S"]) or len(sets) != len(channels):
         raise ValueError("manifest channel/set count disagrees with S")
     if any(a.n != n for a in sets):
         raise ValueError("manifest sets disagree with n")
+    options = {"field_poly": int(fields["poly"], 16)}
+    list_size = int(fields.get("list", 1))
     if kind == "degraded":
-        if b_bits in (None, "-", ""):
-            b = None
-        else:
-            b = np.array([int(c) for c in b_bits], dtype=np.int64)
-        return DegradedScheme(
-            channels, sets, m=m, b=b, field_poly=poly, list_size=list_size
-        )
-    if list_size != 1:
+        b = fields.get("b", "-")
+        options["b"] = None if b in ("-", "") else np.array([int(c) for c in b])
+        options["list_size"] = list_size
+    elif list_size != 1:
         raise ValueError(f"a {kind} scheme has no list decoder")
-    if kind == "interleaved":
-        return InterleavedScheme(channels, sets, m, field_poly=poly)
-    if kind == "nonbinary":
-        return NonBinaryScheme(channels, sets, m, field_poly=poly)
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    return SCHEMES[kind](channels, sets, m=int(fields["m"]), **options)

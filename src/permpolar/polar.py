@@ -555,6 +555,52 @@ class ScDecoder:
         return polar_encode(self.decisions)
 
 
+def _walk_steps(info_sets) -> list:
+    """(first index, index count, support) per step of `_sc_walk`; an
+    index's support is the channels whose sets hold it, and a run of
+    indices that no set holds is one step with no support."""
+    n = info_sets[0].n
+    supports = [tuple(s for s, a in enumerate(info_sets) if k in a) for k in range(n)]
+    steps, k = [], 0
+    for empty, run in itertools.groupby(supports, key=lambda p: not p):
+        run = list(run)
+        if empty:
+            steps.append((k, len(run), None))
+        else:
+            steps.extend((j, 1, p) for j, p in enumerate(run, k))
+        k += len(run)
+    return steps
+
+
+def _sc_walk(dec, steps, frozen, out, completions=(), symbols=None, lanes=None):
+    """Walk `steps` with one `ScDecoder` whose rows are grouped by channel,
+    one equal block each, into out[channel, :, index].  A step without
+    support injects its run of `frozen`, a (rows or 1, n) array; at any
+    other index every row decides.  Where `completions` holds the
+    support, a (table, off) pair, MDS completion of the support's
+    decisions through table[j][v] (symbol v at channel support[j])
+    overwrites (`amend`) the rows that `off` marks.  `symbols` and
+    `lanes` convert decoder values to field symbols and back where a row
+    is a bit plane.
+    """
+    s_count = len(out)
+    for k, count, support in steps:
+        if support is None:
+            dec.inject(frozen[:, k : k + count], index=k)
+            continue
+        values = dec.decide()
+        decided = (values if symbols is None else symbols(values)).reshape(s_count, -1)
+        if support in completions:
+            table, off = completions[support]
+            full = table[0][decided[support[0]]]
+            for j in range(1, len(support)):
+                full ^= table[j][decided[support[j]]]
+            decided = full.T
+            values = decided.reshape(-1)
+            dec.amend(values if lanes is None else lanes(values), off)
+        out[:, :, k] = decided
+
+
 def list_decode(
     channel: DiscreteChannel,
     received,
@@ -586,14 +632,9 @@ def list_decode(
     if int(list_size) != list_size or list_size < 1:
         raise ValueError(f"list size must be an integer >= 1, got {list_size!r}")
     if list_size == 1:
-        dec, start = ScDecoder(channel, received, exact), 0
-        for i in [*info_set.indices, n]:
-            if i > start:
-                dec.inject(frozen[:, start:i], index=start)
-            if i < n:
-                dec.decide()
-            start = i + 1
-        return dec.decisions
+        out = frozen[None].copy()  # decisions overwrite the information set
+        _sc_walk(ScDecoder(channel, received, exact), _walk_steps([info_set]), frozen, out)
+        return out[0]
     if exact:
         raise ValueError("exact arithmetic needs list size 1")
     if channel.input_size != 2:

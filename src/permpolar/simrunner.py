@@ -133,11 +133,10 @@ def _wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _run_trial_range(scheme, channels, pi, seed, start, stop, chunk):
+def _run_trial_range(scheme, pi, seed, start, stop, chunk):
     """Error counts over [start, stop); deterministic per trial."""
-    s_count = len(channels)
     k = scheme.info_bit_count
-    ppc = PermutedParallelChannel(tuple(channels), tuple(pi))
+    ppc = PermutedParallelChannel(scheme.channels, tuple(pi))
     block_errors = 0
     bit_errors = 0
     t = start
@@ -145,7 +144,7 @@ def _run_trial_range(scheme, channels, pi, seed, start, stop, chunk):
         b = min(chunk, stop - t)
         msgs = np.empty((b, k), dtype=np.int64)
         for i in range(b):
-            _lane_draw(seed, t + i, s_count, msgs[i])
+            _lane_draw(seed, t + i, scheme.S, msgs[i])
         y = transmit(ppc, scheme.encode(msgs), seed, t)  # (S, b, uses)
         decoded = scheme.decode(list(y), pi)
         wrong = decoded != msgs
@@ -164,21 +163,18 @@ def evaluate(
     permutations="all",
     trials: int = 1000,
     master_seed: int = 0,
-    channels=None,
     workers: int = 1,
     chunk: int | None = None,
 ) -> list[TrialReport]:
     """Estimate the block error rate per permutation.
 
     `permutations` is "all" (S! of them; rejected for S > 6) or an
-    explicit list.  `channels` overrides the scheme's design channels for
-    the actual transmission and decoding.  Output is reproducible for a
-    fixed master_seed regardless of `workers` and `chunk`.
+    explicit list.  Output is reproducible for a fixed master_seed
+    regardless of `workers` and `chunk`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    channels = list(channels) if channels is not None else list(scheme.channels)
-    s_count = len(channels)
+    s_count = scheme.S
     if permutations == "all":
         if s_count > MAX_ALL_PERMUTATIONS_S:
             raise ValueError(
@@ -200,7 +196,7 @@ def evaluate(
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
         ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         tasks = [
-            (scheme, channels, pi, master_seed, a, b, chunk)
+            (scheme, pi, master_seed, a, b, chunk)
             for pi in perm_list
             for a, b in ranges
         ]
@@ -214,7 +210,7 @@ def evaluate(
         ]
     else:
         counts = [
-            _run_trial_range(scheme, channels, pi, master_seed, 0, trials, chunk)
+            _run_trial_range(scheme, pi, master_seed, 0, trials, chunk)
             for pi in perm_list
         ]
     reports = []

@@ -40,6 +40,8 @@ def test_constructor_validation():
         DiscreteChannel(np.array([[0.5, 0.4]]))
     with pytest.raises(ValueError):
         DiscreteChannel(np.array([[1.2, -0.2]]))
+    with pytest.raises(ValueError):
+        DiscreteChannel(np.array([[np.nan, np.nan], [0.5, 0.5]]))
 
 
 def test_bec_capacity_and_bhattacharyya():
@@ -287,3 +289,27 @@ def test_text_roundtrip():
         channel_from_text("banana")
     with pytest.raises(ValueError):
         channel_from_text("2 2\n0.5 0.5\n")
+    # the older layout reads, and a manifest's descriptor is the same text
+    assert channel_from_text("2 2\n0.9 0.1\n0.1 0.9\n") == bsc(0.1)
+    assert channel_from_text(" qsc 4\n0.05 ") == q_ary_symmetric(4, 0.05)
+    assert channel_to_text(bec(0.25)) == "bec 0.25"
+    for bad in ("bec 0.1 7", "bsc", "qsc 4", "matrix 2", "matrix 2 2 1 0 0",
+                "2 2\n0.9 0.1\n0.1 0.8 0.1\n", "matrix 1 2 nan nan", "warp 0.1"):
+        with pytest.raises(ValueError):
+            channel_from_text(bad)
+
+
+def test_text_roundtrip_random_channels():
+    # a row normalised once need not survive a second normalisation, so a
+    # channel reads back as itself only if its written rows are kept
+    rng = np.random.default_rng(14)
+    channels = [bec(e) for e in rng.random(50)] + [bsc(p) for p in rng.random(50)]
+    for _ in range(1000):
+        t = rng.random((rng.choice([2, 3, 4]), rng.integers(1, 8))) ** 3
+        channels.append(DiscreteChannel(t / t.sum(axis=1, keepdims=True)))
+    channels += [channel_plus(bec(0.3)), q_ary_symmetric(4, 0.05), bsc(0.0), bec(1.0)]
+    for ch in channels:
+        text = channel_to_text(ch)
+        assert "\n" not in text
+        back = channel_from_text(text)
+        assert back == ch and channel_to_text(back) == text

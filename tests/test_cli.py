@@ -126,6 +126,21 @@ def test_simulate_manifest_mismatch(tmp_path):
     assert code == 2
 
 
+def test_simulate_reads_a_file_channel_back_from_the_manifest(tmp_path):
+    ch = write(tmp_path, "ch.txt", "2 3\n0.7 0.2 0.1\n0.1 0.2 0.7\n")
+    cfg = write(
+        tmp_path,
+        "file.cfg",
+        f"scheme = interleaved\nchannels = file:{ch} bec:0.5\nn = 16\nm = 2\n"
+        "rates = 0.25 0.25\ntrials = 20\nseed = 5\n",
+    )
+    man = str(tmp_path / "m.txt")
+    assert main(["construct", "--config", cfg, "--out", man]) == 0
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--config", cfg, "--manifest", man, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3  # header + 2! permutations
+
+
 def test_exit_codes(tmp_path):
     bad = write(tmp_path, "bad.cfg", "nonsense = 1\n")
     assert main(["construct", "--config", bad, "--out", str(tmp_path / "m")]) == 2
@@ -187,8 +202,10 @@ def test_surrogate_infeasible_exits_3_with_one_line(tmp_path, capsys, channels, 
         ("construct", "scheme = interleaved\nchannels = qsc:4:0.1 bec:0.4\n", 3),
         ("construct", "scheme = degraded\nn = 32\nm = 0\n", 2),
         ("bounds", "channels = qsc:4:0.1 bsc:0.1\ndepth = 2\n", 2),
+        ("construct", "scheme = interleaved\nsurrogate = true\n", 2),
     ],
-    ids=["interleaved-n", "nonbinary-n", "rate", "m5", "qsc", "m0", "bounds-qsc"],
+    ids=["interleaved-n", "nonbinary-n", "rate", "m5", "qsc", "m0", "bounds-qsc",
+         "surrogate-coupled"],
 )
 def test_bad_build_exits_with_one_line(tmp_path, capsys, command, text, code):
     # later keys override the defaults
@@ -258,6 +275,8 @@ def test_selftest_passes(capsys):
         "zero-trials",
         "zero-workers",
         "seven-channels-all-permutations",
+        "extra-channel-field",
+        "unknown-manifest-key",
     ],
 )
 def test_simulate_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
@@ -271,6 +290,8 @@ def test_simulate_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     cfg_text = base
     if case == "negative-seed-config":
         cfg_text = BASE_CFG.replace("seed = 123", "seed = -1")
+    elif case == "extra-channel-field":
+        cfg_text = BASE_CFG.replace("bec:0.1", "bec:0.1:7")
     cfg = write(tmp_path, "exp.cfg", cfg_text)
     man = str(tmp_path / "scheme.txt")
     assert main(["construct", "--config", write(tmp_path, "c.cfg", base),
@@ -279,6 +300,8 @@ def test_simulate_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
         man = str(tmp_path / "absent.txt")
     elif case == "malformed-manifest":
         man = write(tmp_path, "bad.txt", "scheme degraded\nS two\n")
+    elif case == "unknown-manifest-key":
+        man = write(tmp_path, "bad.txt", open(man).read() + "lsit 4\n")
     extra = {
         "negative-seed-flag": ["--seed", "-1"],
         "repeated-permutation": ["--permutations", "0,0"],

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from permpolar.channel import bec, bsc, capacity_uniform
+from permpolar.channel import bec, bsc, capacity_uniform, q_ary_symmetric
 from permpolar.parallel import (
     ConstructionError,
     DegradedScheme,
@@ -15,7 +15,13 @@ from permpolar.parallel import (
     scheme_rate,
     scheme_to_manifest,
 )
-from permpolar.polar import InformationSet, ScDecoder, list_decode, polar_encode
+from permpolar.polar import (
+    InformationSet,
+    ScDecoder,
+    channel_plus,
+    list_decode,
+    polar_encode,
+)
 from permpolar.simrunner import (
     PermutedParallelChannel,
     evaluate,
@@ -648,3 +654,29 @@ def test_manifest_rejects_malformed():
     with pytest.raises(ValueError):
         scheme_from_manifest("n 4\nm 1\npoly 0x3\nS 1\nscheme banana\n"
                              "channel bec 0.5\nset 4: 1\n")
+    good = "scheme degraded\nS 1\nn 4\nm 1\npoly 0x3\nchannel bec 0.5\nset 4: 3\nb 000\n"
+    assert scheme_from_manifest(good + "list 2\n").list_size == 2
+    for bad in ("lsit 2\n", "channel bec 0.5 7\n"):
+        with pytest.raises(ValueError):
+            scheme_from_manifest(good + bad)
+
+
+# Written by scheme_to_manifest before channels had one text form.
+CHANNEL_LINES = [
+    (bec(0.1), "channel bec 0.1"),
+    (bsc(0.11002), "channel bsc 0.11002"),
+    (q_ary_symmetric(4, 0.05), "channel matrix 4 4 " + " ".join(
+        "0.95" if i % 5 == 0 else "0.016666666666666666" for i in range(16))),
+    (channel_plus(bec(0.3)), "channel matrix 2 18 "
+     "0.24499999999999997 0.0 0.0 0.0 0.105 0.0 0.0 0.24499999999999997 0.0 0.0 "
+     "0.0 0.105 0.105 0.105 0.0 0.0 0.045 0.045 0.0 0.0 0.0 0.24499999999999997 "
+     "0.0 0.105 0.0 0.0 0.24499999999999997 0.0 0.105 0.0 0.0 0.0 0.105 0.105 "
+     "0.045 0.045"),
+]
+
+
+@pytest.mark.parametrize("ch, line", CHANNEL_LINES, ids=["bec", "bsc", "qsc", "plus"])
+def test_manifest_channel_lines_are_pinned(ch, line):
+    manifest = scheme_to_manifest(DegradedScheme([ch], [InformationSet(2, (1,))]))
+    assert [ln for ln in manifest.splitlines() if ln.startswith("channel")] == [line]
+    assert scheme_from_manifest(manifest).channels == (ch,)
