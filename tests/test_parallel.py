@@ -584,6 +584,59 @@ def test_degraded_scheme_matches_golden_record(m):
     assert _digest(np.stack(decisions)) == decided
 
 
+# Recorded before the SC decoder stopped holding its channel likelihoods,
+# on the benchmark's two builds at n = 1024, where the decoder's first
+# level spans several row tiles: the evaluate CSV at the default chunk
+# (200 noisy trials per permutation, seed 2029), and SHA-256 prefixes of
+# the codewords of 64 seeded messages and of their decisions after one
+# noisy transmission of the batch under every permutation.
+LARGE_GOLDEN = {
+    "degraded": (
+        "permutation,n,rate,trials,errors,bler,ci_low,ci_high,seed\n"
+        "0-1-2,1024,1.6494140625,200,6,0.03,0.013820314340111346,0.06389429245451925,2029\n"
+        "0-2-1,1024,1.6494140625,200,11,0.055,0.03098534170345884,0.0957869987723084,2029\n"
+        "1-0-2,1024,1.6494140625,200,8,0.04,0.020405632066152306,0.07693206820093293,2029\n"
+        "1-2-0,1024,1.6494140625,200,7,0.035,0.017055542008567192,0.07047061152229073,2029\n"
+        "2-0-1,1024,1.6494140625,200,11,0.055,0.03098534170345884,0.0957869987723084,2029\n"
+        "2-1-0,1024,1.6494140625,200,6,0.03,0.013820314340111346,0.06389429245451925,2029\n",
+        "1743ec8fab0d9edd",
+        "d112756b5234bebe",
+    ),
+    "nonbinary": (
+        "permutation,n,rate,trials,errors,bler,ci_low,ci_high,seed\n"
+        "0-1,2048,0.5,200,1,0.005,0.0008831687156009814,0.02777370439789293,2029\n"
+        "1-0,2048,0.5,200,0,0.0,1.734723475976807e-18,0.018845326377266575,2029\n",
+        "e1b902001eba0699",
+        "e5f71a1ad27eb849",
+    ),
+}
+
+
+def _large_build(kind):
+    if kind == "degraded":
+        channels = [bec(0.1), bec(0.3), bec(0.5)]
+        rates = [capacity_uniform(c) - 0.15 for c in channels]
+        return DegradedScheme.build(channels, 1024, rates=rates)
+    return NonBinaryScheme.build([bsc(0.11002), bec(0.5)], 1024, m=2, rates=[0.25, 0.25])
+
+
+def _large_record(kind):
+    sch = _large_build(kind)
+    csv = reports_to_csv(evaluate(sch, trials=200, master_seed=2029))
+    msgs = np.random.default_rng(9).integers(0, 2, (64, sch.info_bit_count))
+    x = sch.encode(msgs)
+    decisions = []
+    for pi in itertools.permutations(range(sch.S)):
+        y = transmit(PermutedParallelChannel(sch.channels, pi), x, 14)
+        decisions.append(sch.decode(y, pi))
+    return csv, _digest(x), _digest(np.stack(decisions))
+
+
+@pytest.mark.parametrize("kind", list(LARGE_GOLDEN))
+def test_benchmark_builds_match_golden_record(kind):
+    assert _large_record(kind) == LARGE_GOLDEN[kind]
+
+
 # -- shared -----------------------------------------------------------------------
 
 
