@@ -202,10 +202,13 @@ def bits_to_symbols(bits, spec: FieldSpec) -> np.ndarray:
 
 
 def symbols_to_bits(symbols, spec: FieldSpec) -> np.ndarray:
-    """Inverse of bits_to_symbols: expand each symbol to m bits, MSB first."""
-    symbols = np.asarray(symbols, dtype=np.int64)
+    """Inverse of bits_to_symbols: expand each symbol to m bits, MSB first,
+    in the dtype of an integer array, or else int64."""
+    symbols = np.asarray(symbols)
+    if symbols.dtype.kind not in "iu":
+        symbols = symbols.astype(np.int64)
     spec._check_range(symbols)
     m = spec.m
-    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
+    shifts = np.arange(m - 1, -1, -1, dtype=symbols.dtype)
     bits = (symbols[..., None] >> shifts) & 1
     return bits.reshape(symbols.shape[:-1] + (symbols.shape[-1] * m,))

@@ -53,7 +53,7 @@ def _validate_pi(pi, s_count: int) -> tuple[int, ...]:
 
 
 def _as_batch(bits, k: int) -> tuple[np.ndarray, bool]:
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
     squeeze = bits.ndim == 1
     if squeeze:
         bits = bits[None, :]
@@ -61,19 +61,20 @@ def _as_batch(bits, k: int) -> tuple[np.ndarray, bool]:
         raise ValueError(f"expected {k} information bits per message")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("information bits must be 0 or 1")
-    return bits, squeeze
+    return bits.astype(np.uint8, copy=False), squeeze
 
 
 def _received_batch(received, s_count: int, uses: int) -> tuple[np.ndarray, bool]:
-    arrays = [np.asarray(r, dtype=np.int64) for r in received]
-    if len(arrays) != s_count:
+    """(S, batch, uses) received words, not copied if already an array."""
+    y = np.asarray(received)
+    squeeze = y.ndim == 2
+    if squeeze:
+        y = y[:, None]
+    if y.ndim != 3 or len(y) != s_count:
         raise ValueError(f"expected {s_count} received sequences")
-    squeeze = arrays[0].ndim == 1
-    arrays = [a[None, :] if a.ndim == 1 else a for a in arrays]
-    for a in arrays:
-        if a.ndim != 2 or a.shape[1] != uses:
-            raise ValueError(f"each received sequence must have {uses} uses")
-    return np.stack(arrays), squeeze
+    if y.shape[2] != uses:
+        raise ValueError(f"each received sequence must have {uses} uses")
+    return y, squeeze
 
 
 def _check_capacity_order(channels) -> None:
@@ -200,7 +201,7 @@ class DegradedScheme:
                 indices += self._layers[j]
         self._free_labels = np.array(labels, dtype=np.int64)
         self._free_indices = np.array(indices, dtype=np.int64)
-        self._frozen = np.zeros((1, n), dtype=np.int64)  # b off sets[0]
+        self._frozen = np.zeros((1, n), dtype=np.uint8)  # b off sets[0]
         self._frozen[0, sorted(set(range(n)) - members[0])] = b
         self._steps = _walk_steps(info_sets)
         self._walks = m == 1 and self.list_size == 1  # see the class docstring
@@ -269,7 +270,7 @@ class DegradedScheme:
     def _fill_u(self, bits: np.ndarray) -> np.ndarray:
         """Scatter info bits and MDS completions into u[label, batch, index]."""
         batch = bits.shape[0]
-        u = np.zeros((self.S, batch, self.n), dtype=np.int64)
+        u = np.zeros((self.S, batch, self.n), dtype=np.uint8)
         u[self._free_labels, np.arange(batch)[:, None], self._free_indices] = bits
         # complete each layer's missing rows through the family code
         for j in range(self.S - 1):
@@ -298,7 +299,7 @@ class DegradedScheme:
     def _extract_bits(self, u: np.ndarray) -> np.ndarray:
         # all three indices advanced: a C-ordered (batch, bits) result
         rows = np.arange(u.shape[1])[:, None]
-        return u[self._free_labels, rows, self._free_indices]
+        return u[self._free_labels, rows, self._free_indices].astype(np.int64)
 
     def decode(self, received, pi, trace: bool = False):
         """Recover all information bits from the S received vectors.
@@ -311,7 +312,7 @@ class DegradedScheme:
         y, squeeze = _received_batch(received, self.S, self.n)
         if self._walks:
             batch, order = y.shape[1], np.array(pi)
-            u = np.zeros((self.S, batch, self.n), dtype=np.int64)  # by channel
+            u = np.zeros((self.S, batch, self.n), dtype=np.uint8)  # by channel
             # the fewest slices of one size whose walks stay within
             # DECODER_FLOATS, one walk's decoder alive at a time
             floats = batch * self.S * self.channels[0].input_size * self.n
@@ -333,7 +334,7 @@ class DegradedScheme:
     def _decode_stages(self, y: np.ndarray, pi) -> np.ndarray:
         """Decode stage by stage, best channel first; u[label, batch, index]
         holds every frozen value of stage s when it starts."""
-        u = np.zeros((self.S, y.shape[1], self.n), dtype=np.int64) | self._frozen
+        u = np.zeros((self.S, y.shape[1], self.n), dtype=np.uint8) | self._frozen
         for s in range(self.S):
             idx = self._layers[s - 1] if s else []
             if idx:
@@ -404,6 +405,7 @@ class CoupledScheme:
         self.n = n
         self.m = m
         self.field = FieldSpec(m, field_poly)
+        self._symbol_type = np.min_scalar_type(self.field.q - 1)
         self.family: MdsFamily = MdsFamily(self.field, self.S)
         self._steps = _walk_steps(info_sets)
         # the indices that share each support: encoding completes a whole
@@ -434,7 +436,7 @@ class CoupledScheme:
         """Encode into S words of m*n bits each: (S, batch, m*n)."""
         bits, squeeze = _as_batch(info_bits, self.info_bit_count)
         batch = bits.shape[0]
-        c = np.zeros((batch, self.S, self.n), dtype=np.int64)
+        c = np.zeros((batch, self.S, self.n), dtype=self._symbol_type)
         c[:, self._free_labels, self._free_indices] = bits_to_symbols(bits, self.field)
         for support, idx in self._groups:
             known = c[:, support][:, :, idx].swapaxes(1, 2)  # (batch, K, d)
@@ -451,14 +453,14 @@ class CoupledScheme:
         sequence of channel s, which carried codeword pi[s]."""
         pi = np.array(_validate_pi(pi, self.S))
         y, squeeze = _received_batch(received, self.S, self.uses_per_channel)
-        symbols = np.zeros((self.S, y.shape[1], self.n), dtype=np.int64)  # by channel
+        symbols = np.zeros((self.S, y.shape[1], self.n), dtype=self._symbol_type)
         dec = ScDecoder(*self._decoder_input(y))
         tables = _completions(self._steps, self.family, pi, dec.batch // self.S)
         zero = np.zeros((1, self.n), dtype=np.int64)  # frozen symbols
         _sc_walk(dec, self._steps, zero, symbols, tables, self._symbols, self._lanes)
         channel_of = np.argsort(pi)  # the channel that carried each label
         free = symbols[channel_of[self._free_labels], :, self._free_indices].T
-        bits = symbols_to_bits(free, self.field)
+        bits = symbols_to_bits(free, self.field).astype(np.int64)
         return bits[0] if squeeze else bits
 
     # a decoder row holds whole symbols unless a subclass converts
@@ -649,4 +651,6 @@ def scheme_from_manifest(text: str):
         options["list_size"] = list_size
     elif list_size != 1:
         raise ValueError(f"a {kind} scheme has no list decoder")
+    elif "b" in fields:
+        raise ValueError(f"a {kind} scheme has no frozen vector")
     return SCHEMES[kind](channels, sets, m=int(fields["m"]), **options)

@@ -58,8 +58,10 @@ def _butterflies(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def polar_encode(u) -> np.ndarray:
-    """Apply the polar transform along the last axis (self-inverse)."""
-    x = np.array(u, dtype=np.int64)
+    """Apply the polar transform along the last axis (self-inverse) to a
+    copy; an integer array keeps its dtype, anything else becomes int64."""
+    u = np.asarray(u)
+    x = np.array(u, dtype=u.dtype if u.dtype.kind in "iu" else np.int64)
     _check_power_of_two(x.shape[-1])
     return _butterflies(x)
 
@@ -385,14 +387,15 @@ class ScDecoder:
     pairwise rather than plane by plane as on a larger node, so its last
     bits may differ from the same row's leaf in a batch.
 
-    The decoder is lazy.  Depth d of the code tree holds one node's
-    likelihoods as a (q, n >> d, rows) buffer, and the symbols fixed so
-    far are kept as an (n, rows) array, so every step runs over contiguous
-    rows of the whole batch.  `inject` only records symbols; `decide`
+    The decoder is lazy.  Depth d >= 1 of the code tree holds one node's
+    likelihoods as a (q, n >> d, rows) buffer, about q n floats per row in
+    all, and the received and fixed symbols are narrow (n, rows) arrays,
+    so every step runs over contiguous rows of the whole batch.  Depth 1
+    is built from the channel in tiles of rows, of DECODER_FLOATS / 16
+    likelihoods each, that never span two blocks.  `inject` only records symbols; `decide`
     computes the nodes on the path to its leaf below the deepest one that
     the previous decided index shares, a right child from its parent and
-    its re-encoded left sibling.  A subtree whose indices were all
-    injected is never computed.  Work is O(n log n) per word.
+    its re-encoded left sibling.  Work is O(n log n) per word.
 
     With `exact=True` all arithmetic runs on rationals, so likelihood ties
     are broken exactly (ties resolve to the smallest symbol value).
@@ -402,7 +405,7 @@ class ScDecoder:
         if isinstance(channel, DiscreteChannel):
             channel, received = (channel,), (received,)
         channels = tuple(channel)
-        blocks = [np.atleast_2d(np.asarray(y, dtype=np.int64)) for y in received]
+        blocks = [np.atleast_2d(np.asarray(y)) for y in received]
         if not channels or len(channels) != len(blocks):
             raise ValueError("one block of received rows per channel required")
         if any(y.ndim != 2 for y in blocks):
@@ -422,17 +425,27 @@ class ScDecoder:
         dtype = object if exact else np.float64
         self.n, self.q, self.batch = n, q, batch
         self._depth = n.bit_length() - 1
-        self._like = [
-            np.empty((q, n >> d, batch), dtype=dtype) for d in range(self._depth + 1)
-        ]
+        top = max(ch.output_size for ch in channels) - 1
+        self._received = np.empty((n, batch), dtype=np.min_scalar_type(top))
+        tile = max(1, (DECODER_FLOATS >> 4) // (q * n))
+        self._tiles = []  # (rows, transitions): no tile spans two blocks
         for ch, y, end in zip(channels, blocks, ends):
+            self._received[:, end - len(y) : end] = y.T
             w = ch.transitions
             if exact:
                 w = np.array([[Fraction(p) for p in r] for r in w], dtype=object)
-            block = self._like[0][:, :, end - len(y) : end]
-            np.take(w, y.T, axis=1, out=block, mode="clip")  # y is checked above
-        # the minus step's products, for the largest node
-        self._scratch = np.empty(q * (n >> 1) * batch, dtype=dtype)
+            self._tiles += [
+                (slice(a, min(a + tile, end)), w) for a in range(end - len(y), end, tile)
+            ]
+        self._like = [None] + [
+            np.empty((q, n >> d, batch), dtype=dtype) for d in range(1, self._depth + 1)
+        ]
+        if not self._depth:  # a one-symbol word decides on its channel likelihoods
+            self._like[0] = np.empty((q, 1, batch), dtype=dtype)
+            for rows, w in self._tiles:
+                self._like[0][:, :, rows] = self._channel(rows, w, 0, 1)
+        # the minus step's products: the largest node not tiled, or one tile
+        self._scratch = np.empty(q * max((n >> 2) * batch, (n >> 1) * min(tile, batch)), dtype)
         # block[flips[c]][v] is block[v ^ c]; v ^ (q - 1) is a reversed view
         self._flips = [np.arange(q) ^ c for c in range(q - 1)]
         self._flips.append(slice(None, None, -1))
@@ -440,20 +453,45 @@ class ScDecoder:
         self._i = 0
         self._last = None  # the last decided index, whose path is held
 
+    def _channel(self, rows, w, lo: int, hi: int) -> np.ndarray:
+        """(q, hi - lo, rows) channel likelihoods of one block's rows."""
+        return np.take(w, self._received[lo:hi, rows], axis=1, mode="clip")
+
     def _combine(self, d: int, i: int) -> None:
-        """Compute the depth-d node on the path to index i from its parent.
+        """Compute the depth-d node on the path to index i from its parent;
+        a depth-1 node from the channel, one tile of rows at a time.
 
         Decisions and ties rest on this float order: a left child sums
         out[v] = f[v ^ c] s[c] over c = 0..q-1, a right child is
         out[x] = f[left ^ x] s[x], and both are divided by their plane sum.
         """
         size, out = self.n >> d, self._like[d]
-        f, s = self._like[d - 1][:, :size], self._like[d - 1][:, size:]
         start = i >> (self._depth - d) << (self._depth - d)
+        left = None
         if start & size:
             left = self._decided[start - size : start]
             if size > 1:  # a single symbol is its own transform
                 left = _butterflies(left.copy(), axis=0)
+        if d > 1:
+            parent = self._like[d - 1]
+            self._node(out, parent[:, :size], parent[:, size:], left)
+        else:
+            for rows, w in self._tiles:  # a tile's likelihoods go when _node returns
+                self._node(
+                    out[:, :, rows],
+                    self._channel(rows, w, 0, size),
+                    self._channel(rows, w, size, self.n),
+                    None if left is None else left[:, rows],
+                )
+        if out.dtype != object:
+            # exact mode skips this: it would only grow the rationals
+            total = np.add.reduce(out, axis=0)
+            total[total == 0.0] = 1.0
+            out /= total
+
+    def _node(self, out, f, s, left) -> None:
+        """The left child of halves f, s, or the right one given `left`."""
+        if left is not None:
             if out.dtype != object and out[0].size >= _XOR_SELECT_MIN:
                 self._xor_select(out, f, left)
             else:
@@ -467,11 +505,6 @@ class ScDecoder:
             for c in range(1, self.q):
                 np.multiply(f[self._flips[c]], s[c], out=product)
                 out += product
-        if out.dtype != object:
-            # exact mode skips this: it would only grow the rationals
-            total = np.add.reduce(out, axis=0)
-            total[total == 0.0] = 1.0
-            out /= total
 
     def _xor_select(self, out, f, left) -> None:
         """out[x] = f[x ^ left] on the float bit patterns, one bit of `left`
@@ -560,16 +593,15 @@ def _walk_steps(info_sets) -> list:
     index's support is the channels whose sets hold it, and a run of
     indices that no set holds is one step with no support."""
     n = info_sets[0].n
-    supports = [tuple(s for s, a in enumerate(info_sets) if k in a) for k in range(n)]
-    steps, k = [], 0
-    for empty, run in itertools.groupby(supports, key=lambda p: not p):
-        run = list(run)
-        if empty:
-            steps.append((k, len(run), None))
-        else:
-            steps.extend((j, 1, p) for j, p in enumerate(run, k))
-        k += len(run)
-    return steps
+    held = np.zeros((len(info_sets), n), dtype=bool)
+    for s, a in enumerate(info_sets):
+        held[s, list(a.indices)] = True
+    patterns, which = np.unique(held.T, axis=0, return_inverse=True)
+    supports = [tuple(np.flatnonzero(p).tolist()) or None for p in patterns]
+    # a step starts at every held index and at the start of each unheld run
+    starts = np.flatnonzero(held.any(axis=0) | np.r_[True, held[:, :-1].any(axis=0)])
+    steps = zip(starts.tolist(), np.diff(np.r_[starts, n]).tolist(), which.ravel()[starts])
+    return [(k, count, supports[w]) for k, count, w in steps]
 
 
 def _sc_walk(dec, steps, frozen, out, completions=(), symbols=None, lanes=None):
@@ -752,7 +784,7 @@ class _ListDecoder:
     def run(self) -> np.ndarray:
         x = self._node(0, 0).reshape(self.batch, self.L, self.n)
         best = np.argmin(self.metric.reshape(self.batch, self.L), axis=1)
-        return polar_encode(x[np.arange(self.batch), best])
+        return polar_encode(x[np.arange(self.batch), best]).astype(np.int64)
 
     def _read(self, store, slot: int) -> np.ndarray:
         if self.stamp[slot] == self.copies:

@@ -75,17 +75,19 @@ def transmit(
     the assigned channels.
 
     `codewords` is (S, uses) for trial `trial`, or (S, b, uses) for the b
-    trials from `trial` on; codewords[label] holds the codewords with that
-    label.  The output, of the same shape, has channel s's observation of
-    codeword pi[s] in row s.  Each use takes one uniform u from the
-    (trial, lane s) stream and outputs the first index whose cumulative
-    transition probability exceeds u.
+    trials from `trial` on, of any integer type; codewords[label] holds
+    the codewords with that label.  The int64 output, of the same shape,
+    has channel s's observation of codeword pi[s] in row s.  Each use
+    takes one uniform u from the (trial, lane s) stream and outputs the
+    first index whose cumulative transition probability exceeds u.
     """
-    codewords = np.asarray(codewords, dtype=np.int64)
+    codewords = np.asarray(codewords)
+    if codewords.dtype.kind not in "iu":
+        codewords = codewords.astype(np.int64)
     if codewords.ndim not in (2, 3) or codewords.shape[0] != channel.S:
         raise ValueError(f"expected {channel.S} codewords of equal length")
     x = codewords.reshape(channel.S, -1, codewords.shape[-1])
-    y = np.zeros_like(x)
+    y = np.zeros(x.shape, dtype=np.int64)
     u = np.empty(x.shape[1:])
     for s, ch in enumerate(channel.channels):
         for i in range(x.shape[1]):
@@ -135,22 +137,17 @@ def _wilson_interval(errors: int, trials: int) -> tuple[float, float]:
 
 def _run_trial_range(scheme, pi, seed, start, stop, chunk):
     """Error counts over [start, stop); deterministic per trial."""
-    k = scheme.info_bit_count
     ppc = PermutedParallelChannel(scheme.channels, tuple(pi))
-    block_errors = 0
-    bit_errors = 0
-    t = start
-    while t < stop:
-        b = min(chunk, stop - t)
-        msgs = np.empty((b, k), dtype=np.int64)
-        for i in range(b):
+    block_errors = bit_errors = 0
+    for t in range(start, stop, chunk):
+        msgs = np.empty((min(chunk, stop - t), scheme.info_bit_count), dtype=np.uint8)
+        for i in range(len(msgs)):
             _lane_draw(seed, t + i, scheme.S, msgs[i])
         y = transmit(ppc, scheme.encode(msgs), seed, t)  # (S, b, uses)
-        decoded = scheme.decode(list(y), pi)
-        wrong = decoded != msgs
+        wrong = scheme.decode(y, pi) != msgs
         block_errors += int(np.count_nonzero(wrong.any(axis=1)))
         bit_errors += int(np.count_nonzero(wrong))
-        t += b
+        del msgs, y, wrong  # a chunk's arrays go before the next is drawn
     return block_errors, bit_errors
 
 

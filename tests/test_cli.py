@@ -277,11 +277,14 @@ def test_selftest_passes(capsys):
         "seven-channels-all-permutations",
         "extra-channel-field",
         "unknown-manifest-key",
+        "frozen-vector-in-coupled-manifest",
     ],
 )
 def test_simulate_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
     base = BASE_CFG
-    if case == "seven-channels-all-permutations":
+    if case == "frozen-vector-in-coupled-manifest":
+        base = BASE_CFG.replace("degraded", "interleaved").replace("m = 1", "m = 2")
+    elif case == "seven-channels-all-permutations":
         base = (
             "scheme = degraded\nchannels =" + " bec:0.1" * 7 + "\nn = 8\n"
             "rates =" + " 0.5" * 7 + "\ntrials = 10\nseed = 1\n"
@@ -302,6 +305,8 @@ def test_simulate_bad_input_exits_2_with_one_line(tmp_path, capsys, case):
         man = write(tmp_path, "bad.txt", "scheme degraded\nS two\n")
     elif case == "unknown-manifest-key":
         man = write(tmp_path, "bad.txt", open(man).read() + "lsit 4\n")
+    elif case == "frozen-vector-in-coupled-manifest":
+        man = write(tmp_path, "bad.txt", open(man).read() + "b 0101\n")
     extra = {
         "negative-seed-flag": ["--seed", "-1"],
         "repeated-permutation": ["--permutations", "0,0"],

@@ -712,6 +712,12 @@ def test_manifest_rejects_malformed():
     for bad in ("lsit 2\n", "channel bec 0.5 7\n"):
         with pytest.raises(ValueError):
             scheme_from_manifest(good + bad)
+    coupled = scheme_to_manifest(
+        InterleavedScheme.build([bsc(0.11002), bec(0.5)], 8, m=2, rates=[0.25, 0.25])
+    )
+    assert scheme_from_manifest(coupled + "list 1\n").kind == "interleaved"
+    with pytest.raises(ValueError, match="frozen vector"):
+        scheme_from_manifest(coupled + "b 0101\n")
 
 
 # Written by scheme_to_manifest before channels had one text form.

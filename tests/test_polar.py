@@ -15,9 +15,11 @@ from permpolar.channel import (
     product_power,
     q_ary_symmetric,
 )
+from permpolar import polar
 from permpolar.polar import (
     InformationSet,
     ScDecoder,
+    _walk_steps,
     bec_split_bhattacharyya,
     build_info_set,
     error_event_probability,
@@ -517,18 +519,28 @@ def test_block_inject_rejects_bad_blocks():
         dec.inject(np.zeros((1, 1), dtype=int))
 
 
-@pytest.mark.parametrize("q", [2, 4])
-def test_row_grouped_decoder_equals_per_channel_decoders(q):
+@pytest.mark.parametrize(
+    "q, exact",
+    [pytest.param(q, exact, id=f"{q}-exact" if exact else str(q))
+     for exact in (False, True) for q in (2, 4, 8)],
+)
+def test_row_grouped_decoder_equals_per_channel_decoders(q, exact, monkeypatch):
     # BEC rows reach likelihood ties (and zero planes on contradictory
-    # outputs), so the tie rule is compared too
-    rng = np.random.default_rng(12 + q)
-    if q == 2:
-        channels, n = (bsc(0.2), bec(0.4)), 64
-    else:
-        channels, n = (product_power(bsc(0.11002), 2), product_power(bec(0.5), 2)), 32
+    # outputs), so the tie rule is compared too.  The grouped decoder
+    # builds its first level in tiles of two rows, so its rows span five
+    # tiles and two channel blocks; each block's own decoder takes one tile.
+    rng = np.random.default_rng(12 + q + exact)
+    m = q.bit_length() - 1
+    channels = (product_power(bsc(0.11002), m), product_power(bec(0.5), m))
+    n = 128 // q
     ys = [rng.integers(0, ch.output_size, (r, n)) for ch, r in zip(channels, (5, 3))]
-    grouped = ScDecoder(channels, ys)
-    singles = [ScDecoder(ch, y) for ch, y in zip(channels, ys)]
+    singles = [ScDecoder(ch, y, exact) for ch, y in zip(channels, ys)]
+    monkeypatch.setattr(polar, "DECODER_FLOATS", 32 * q * n)  # tiles of 2 rows
+    grouped = ScDecoder(channels, ys, exact)
+    assert [(t[0].start, t[0].stop) for t in grouped._tiles] == [
+        (0, 2), (2, 4), (4, 5), (5, 7), (7, 8)
+    ]
+    assert [len(dec._tiles) for dec in singles] == [1, 1]
     # 0: frozen (runs injected as blocks), 1: every row decides, 2: the
     # second channel's rows are amended, 3: random rows are amended
     kinds = rng.choice(4, n, p=[0.4, 0.2, 0.2, 0.2])
@@ -562,6 +574,66 @@ def test_row_grouped_decoder_equals_per_channel_decoders(q):
     expected = np.vstack([dec.decisions for dec in singles])
     assert np.array_equal(grouped.decisions, expected)
     assert np.array_equal(grouped.codeword, polar_encode(expected))
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_decoder_stores_no_channel_likelihoods(q):
+    # a decoder holds its nodes (about q n floats per row), a scratch of a
+    # quarter of that and narrow symbols, and it never expands the
+    # received symbols into channel likelihoods; it peaks below 2 q n
+    # floats per row while decoding a word of uint8 symbols
+    import tracemalloc
+
+    ch = product_power(bsc(0.2), q.bit_length() - 1)
+    n, rows = 256, 1024
+    y = np.random.default_rng(31).integers(0, ch.output_size, (rows, n)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        dec = ScDecoder(ch, y)
+        for _ in range(n):
+            dec.decide()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * q * n * rows * 8
+    every = InformationSet(n, tuple(range(n)))
+    assert np.array_equal(dec.decisions[:3], list_decode(ch, y[:3], every, 0))
+
+
+def _walk_steps_by_index(info_sets):
+    """The definition, index by index: a step per index that some set
+    holds, with the channels whose sets hold it, and one step per maximal
+    run of indices that no set holds."""
+    n = info_sets[0].n
+    supports = [tuple(s for s, a in enumerate(info_sets) if k in a) for k in range(n)]
+    steps, k = [], 0
+    for empty, run in itertools.groupby(supports, key=lambda p: not p):
+        run = list(run)
+        if empty:
+            steps.append((k, len(run), None))
+        else:
+            steps.extend((j, 1, p) for j, p in enumerate(run, k))
+        k += len(run)
+    return steps
+
+
+def test_walk_steps_equal_the_per_index_definition():
+    rng = np.random.default_rng(32)
+    cases = [[InformationSet(8, ())], [InformationSet(8, tuple(range(8)))] * 2]
+    for trial in range(300):
+        n, s_count = 1 << int(rng.integers(0, 8)), int(rng.integers(1, 5))
+        inner = np.arange(1, n - 1) if trial % 3 == 0 else np.arange(n)  # empty ends
+        order = rng.permutation(inner)
+        if trial % 2:  # nested, best channel first
+            sizes = sorted(rng.integers(0, len(order) + 1, s_count), reverse=True)
+            sets = [order[:size] for size in sizes]
+        else:
+            sets = [order[rng.random(len(order)) < rng.random()] for _ in range(s_count)]
+        cases.append([InformationSet(n, tuple(sorted(a.tolist()))) for a in sets])
+    for sets in cases:
+        steps = _walk_steps(sets)
+        assert steps == _walk_steps_by_index(sets)
+        assert all(type(v) is int for step in steps for v in (step[0], step[1], *(step[2] or ())))
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])

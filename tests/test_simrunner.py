@@ -188,6 +188,33 @@ def test_evaluate_default_chunk(monkeypatch, kind, expected):
     assert sizes == [expected]
 
 
+def test_evaluate_releases_each_chunk_before_the_next(monkeypatch):
+    # three chunks peak no higher than one: no array of a chunk is alive
+    # while the next is drawn, encoded, sent and decoded.  The degraded
+    # walks slice each chunk, so that its decoders are small against its
+    # received words, as they are at the default chunk of n = 1024.
+    import tracemalloc
+
+    import permpolar.parallel as parallel
+    from permpolar.channel import capacity_uniform
+
+    channels = [bec(0.1), bec(0.3), bec(0.5)]
+    rates = [capacity_uniform(c) - 0.15 for c in channels]
+    sch = DegradedScheme.build(channels, 256, rates=rates)
+    monkeypatch.setattr(parallel, "DECODER_FLOATS", 1 << 18)  # walks of 170 trials
+    evaluate(sch, permutations=[(0, 1, 2)], trials=8, master_seed=1)
+    peaks = []
+    for chunks in (1, 3):
+        tracemalloc.start()
+        try:
+            evaluate(sch, permutations=[(0, 1, 2)], trials=512 * chunks,
+                     master_seed=1, chunk=512)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 def test_evaluate_worker_invariance():
     sch = small_scheme()
     a = evaluate(sch, trials=40, master_seed=3, workers=1)
