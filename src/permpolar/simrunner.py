@@ -82,8 +82,6 @@ def transmit(
     first index whose cumulative transition probability exceeds u.
     """
     codewords = np.asarray(codewords)
-    if codewords.dtype.kind not in "iu":
-        codewords = codewords.astype(np.int64)
     if codewords.ndim not in (2, 3) or codewords.shape[0] != channel.S:
         raise ValueError(f"expected {channel.S} codewords of equal length")
     x = codewords.reshape(channel.S, -1, codewords.shape[-1])
@@ -93,10 +91,11 @@ def transmit(
         for i in range(x.shape[1]):
             _lane_draw(seed, trial + i, s, u[i])
         cdf = np.cumsum(ch.transitions, axis=1)
+        sent = x[channel.pi[s]].astype(np.intp)  # numpy gathers fastest by intp
         # the first index whose cumulative sum exceeds u is the number of
         # sums u reaches among all but the last, which is 1 in exact terms
         for j in range(ch.output_size - 1):
-            y[s] += u >= cdf[:, j][x[channel.pi[s]]]
+            y[s] += u >= cdf[:, j][sent]
     return y.reshape(codewords.shape)
 
 
