@@ -593,14 +593,15 @@ def _walk_steps(info_sets) -> list:
     index's support is the channels whose sets hold it, and a run of
     indices that no set holds is one step with no support."""
     n = info_sets[0].n
-    held = np.zeros((len(info_sets), n), dtype=bool)
-    for s, a in enumerate(info_sets):
-        held[s, list(a.indices)] = True
-    patterns, which = np.unique(held.T, axis=0, return_inverse=True)
-    supports = [tuple(np.flatnonzero(p).tolist()) or None for p in patterns]
+    held = np.array([np.isin(np.arange(n), a.indices) for a in info_sets])
+    order = np.lexsort(held)  # indices of one support end up side by side
+    new = np.r_[True, (held[:, order[1:]] != held[:, order[:-1]]).any(axis=0)]
+    which = np.empty(n, dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    supports = [tuple(np.flatnonzero(p).tolist()) or None for p in held[:, order[new]].T]
     # a step starts at every held index and at the start of each unheld run
     starts = np.flatnonzero(held.any(axis=0) | np.r_[True, held[:, :-1].any(axis=0)])
-    steps = zip(starts.tolist(), np.diff(np.r_[starts, n]).tolist(), which.ravel()[starts])
+    steps = zip(starts.tolist(), np.diff(np.r_[starts, n]).tolist(), which[starts].tolist())
     return [(k, count, supports[w]) for k, count, w in steps]
 
 
