@@ -18,8 +18,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import capacity_uniform, channel_from_text, channel_to_text, product_power
@@ -102,22 +100,74 @@ def _completions(steps, family, pi, rows: int) -> dict:
     return completions
 
 
+class _Scheme:
+    """What the degraded and coupled schemes share: the checks of one set
+    per channel, the field, the MDS family and the steps of one SC walk
+    (`_walk`).  A subclass supplies `_decoder_input` and may convert
+    decoder rows that hold bit planes (`_symbols`, `_lanes`); it defines
+    `encode` and `decode` itself.
+    """
+
+    def __init__(self, channels, info_sets, m: int, field_poly: int):
+        channels = tuple(channels)
+        info_sets = tuple(info_sets)
+        if len(channels) != len(info_sets):
+            raise ValueError("one information set per channel required")
+        if not channels:
+            raise ValueError("need at least one channel")
+        n = info_sets[0].n
+        if any(a.n != n for a in info_sets):
+            raise ValueError("information sets disagree on block length")
+        self.channels = channels
+        self.info_sets = info_sets
+        self.S = len(channels)
+        self.n = n
+        self.m = m
+        self.field = FieldSpec(m, field_poly)
+        self._symbol_type = np.min_scalar_type(self.field.q - 1)
+        self.family: MdsFamily = MdsFamily(self.field, self.S)
+        self._steps = _walk_steps(info_sets)
+        self._frozen = np.zeros((1, n), dtype=np.uint8)  # the walk's frozen symbols
+        # an index that d of the S sets hold carries an (S, d) codeword
+        missing = {len(p) for _, _, p in self._steps if p} - set(self.family.dims)
+        if missing:
+            raise ConstructionError(
+                f"MDS family over GF(2^{m}) lacks dimensions {sorted(missing)} "
+                f"needed for length {self.S}"
+            )
+
+    # a decoder row holds whole symbols unless a subclass converts
+    _symbols = _lanes = None
+
+    def _walk(self, y: np.ndarray, pi) -> np.ndarray:
+        """Symbols u[label, batch, index] from one `ScDecoder` walk over all
+        S channels (`_sc_walk`), in the fewest slices of messages of one
+        size whose decoders stay within DECODER_FLOATS, one alive at a time."""
+        channels, blocks = self._decoder_input(y)
+        batch = y.shape[1]
+        per = len(blocks[0]) // batch  # decoder rows per message and channel
+        floats = sum(map(len, blocks)) * channels[0].input_size * self.n
+        step = -(-batch // -(-floats // DECODER_FLOATS))  # ceilings
+        order = np.array(pi)
+        out = np.zeros((self.S, batch, self.n), dtype=self._symbol_type)  # by channel
+        for a in range(0, batch, step):
+            dec = ScDecoder(channels, [rows[a * per : (a + step) * per] for rows in blocks])
+            tables = _completions(self._steps, self.family, order, dec.batch // self.S)
+            part = out[:, a : a + step]
+            _sc_walk(dec, self._steps, self._frozen, part, tables, self._symbols, self._lanes)
+            del dec
+        return out[np.argsort(pi)]
+
+    def rate(self) -> float:
+        return scheme_rate(self)
+
+
 # ---------------------------------------------------------------------------
 # degraded channel-after-channel scheme
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageRecord:
-    """What one decoding stage produced (used by tests and diagnostics)."""
-
-    channel: int
-    codeword: int
-    resolved_layers: dict
-    decoded_layers: dict
-
-
-class DegradedScheme:
+class DegradedScheme(_Scheme):
     """Channel-after-channel scheme for stochastically degraded lists.
 
     Layer j (0-based) occupies the index range sets[j] \\ sets[j+1]; a
@@ -147,23 +197,15 @@ class DegradedScheme:
         field_poly: int = 0,
         list_size: int = 1,
     ):
-        channels = tuple(channels)
         info_sets = tuple(info_sets)
-        s_count = len(channels)
-        if s_count != len(info_sets):
-            raise ValueError("one information set per channel required")
-        if s_count < 1:
-            raise ValueError("need at least one channel")
-        n = info_sets[0].n
-        if any(a.n != n for a in info_sets):
-            raise ValueError("information sets disagree on block length")
-        for s in range(s_count - 1):
+        for s in range(len(info_sets) - 1):
             if not info_sets[s + 1].issubset(info_sets[s]):
                 raise ValueError(
                     f"information sets must be nested: set {s + 1} is not "
                     f"contained in set {s}"
                 )
-        field = FieldSpec(m, field_poly)
+        super().__init__(channels, info_sets, m, field_poly)
+        n = self.n
         if n % m or any(len(a) % m for a in info_sets):
             raise ValueError("n and every set size must be multiples of m")
         k1 = len(info_sets[0])
@@ -178,40 +220,24 @@ class DegradedScheme:
         if int(list_size) != list_size or list_size < 1:
             raise ValueError(f"list size must be an integer >= 1, got {list_size!r}")
 
-        self.channels = channels
-        self.info_sets = info_sets
-        self.S = s_count
-        self.n = n
-        self.m = m
-        self.field = field
-        self.family: MdsFamily = MdsFamily(field, s_count)
         self.b = b
         self.list_size = int(list_size)
         # layer j index block: sets[j] minus sets[j+1] (empty set past the end)
         members = [set(a.indices) for a in info_sets] + [set()]
         self._layers = [
-            sorted(members[j] - members[j + 1]) for j in range(s_count)
+            sorted(members[j] - members[j + 1]) for j in range(self.S)
         ]
         # label and index of each information bit, in message order:
         # label-major, then layers S-1 down to the label's own
         labels, indices = [], []
-        for s in range(s_count):
-            for j in range(s_count - 1, s - 1, -1):
+        for s in range(self.S):
+            for j in range(self.S - 1, s - 1, -1):
                 labels += [s] * len(self._layers[j])
                 indices += self._layers[j]
         self._free_labels = np.array(labels, dtype=np.int64)
         self._free_indices = np.array(indices, dtype=np.int64)
-        self._frozen = np.zeros((1, n), dtype=np.uint8)  # b off sets[0]
-        self._frozen[0, sorted(set(range(n)) - members[0])] = b
-        self._steps = _walk_steps(info_sets)
+        self._frozen[0, sorted(set(range(n)) - members[0])] = b  # b off sets[0]
         self._walks = m == 1 and self.list_size == 1  # see the class docstring
-        needed = {j + 1 for j in range(s_count - 1) if len(self._layers[j])}
-        missing = needed - set(self.family.dims)
-        if missing:
-            raise ConstructionError(
-                f"MDS family over GF(2^{m}) lacks dimensions {sorted(missing)} "
-                f"needed for length {s_count}"
-            )
 
     # -- construction -------------------------------------------------------
 
@@ -274,19 +300,22 @@ class DegradedScheme:
         u[self._free_labels, np.arange(batch)[:, None], self._free_indices] = bits
         # complete each layer's missing rows through the family code
         for j in range(self.S - 1):
-            idx = self._layers[j]
-            if not idx:
-                continue
-            dim = j + 1
-            code = self.family.code(dim)
-            known = np.stack(
-                [bits_to_symbols(u[s][:, idx], self.field) for s in range(dim)],
-                axis=-1,
-            )  # (batch, K, dim)
-            full = code.complete_batch(tuple(range(dim)), known)
-            for s in range(dim, self.S):
-                u[s][:, idx] = symbols_to_bits(full[..., s], self.field)
+            self._complete_layer(u, j, tuple(range(j + 1)))
         return u
+
+    def _complete_layer(self, u: np.ndarray, j: int, known_labels) -> None:
+        """Complete layer j of u[label] on every label off `known_labels`,
+        the j + 1 labels that hold it, through the family code."""
+        idx = self._layers[j]
+        if not idx:
+            return
+        known = np.stack(
+            [bits_to_symbols(u[t][:, idx], self.field) for t in known_labels],
+            axis=-1,
+        )  # (batch, K, j + 1)
+        full = self.family.code(j + 1).complete_batch(known_labels, known)
+        for t in set(range(self.S)) - set(known_labels):
+            u[t][:, idx] = symbols_to_bits(full[..., t], self.field)
 
     def encode(self, info_bits) -> np.ndarray:
         """Encode k info bits into S codewords of n bits: (S, batch, n)."""
@@ -301,67 +330,32 @@ class DegradedScheme:
         rows = np.arange(u.shape[1])[:, None]
         return u[self._free_labels, rows, self._free_indices].astype(np.int64)
 
-    def decode(self, received, pi, trace: bool = False):
+    def _decoder_input(self, y: np.ndarray):
+        return self.channels, list(y)
+
+    def decode(self, received, pi):
         """Recover all information bits from the S received vectors.
 
         `received[s]` is the output sequence of channel s (which carried
-        codeword pi[s]).  Returns the bit array, plus the per-stage trace
-        when requested.
+        codeword pi[s]).
         """
         pi = _validate_pi(pi, self.S)
         y, squeeze = _received_batch(received, self.S, self.n)
-        if self._walks:
-            batch, order = y.shape[1], np.array(pi)
-            u = np.zeros((self.S, batch, self.n), dtype=np.uint8)  # by channel
-            # the fewest slices of one size whose walks stay within
-            # DECODER_FLOATS, one walk's decoder alive at a time
-            floats = batch * self.S * self.channels[0].input_size * self.n
-            step = -(-batch // -(-floats // DECODER_FLOATS))  # ceilings
-            for a in range(0, batch, step):
-                part = slice(a, a + step)
-                dec = ScDecoder(self.channels, list(y[:, part]))
-                tables = _completions(self._steps, self.family, order, dec.batch // self.S)
-                _sc_walk(dec, self._steps, self._frozen, u[:, part], tables)
-                del dec
-            u = u[np.argsort(pi)]  # by label
-        else:
-            u = self._decode_stages(y, pi)
+        u = self._walk(y, pi) if self._walks else self._decode_stages(y, pi)
         bits = self._extract_bits(u)
-        if squeeze:
-            bits = bits[0]
-        return (bits, self._stage_records(u, pi)) if trace else bits
+        return bits[0] if squeeze else bits
 
     def _decode_stages(self, y: np.ndarray, pi) -> np.ndarray:
         """Decode stage by stage, best channel first; u[label, batch, index]
         holds every frozen value of stage s when it starts."""
         u = np.zeros((self.S, y.shape[1], self.n), dtype=np.uint8) | self._frozen
         for s in range(self.S):
-            idx = self._layers[s - 1] if s else []
-            if idx:
-                vals = np.stack(
-                    [bits_to_symbols(u[pi[t]][:, idx], self.field) for t in range(s)],
-                    axis=-1,
-                )
-                full = self.family.code(s).complete_batch(pi[:s], vals)
-                for t in range(s, self.S):
-                    u[pi[t]][:, idx] = symbols_to_bits(full[..., pi[t]], self.field)
+            if s:
+                self._complete_layer(u, s - 1, pi[:s])
             u[pi[s]] = list_decode(
                 self.channels[s], y[s], self.info_sets[s], u[pi[s]], self.list_size
             )
         return u
-
-    def _stage_records(self, u: np.ndarray, pi) -> list:
-        """What each stage resolved and decoded, read from u[label]."""
-        records = []
-        for s in range(self.S):
-            layers = {j: u[pi[s]][:, a] for j, a in enumerate(self._layers) if a}
-            resolved = {j: layers[j] for j in [s - 1] if j in layers}
-            decoded = {j: layers[j] for j in range(s, self.S) if j in layers}
-            records.append(StageRecord(s, pi[s], resolved, decoded))
-        return records
-
-    def rate(self) -> float:
-        return scheme_rate(self)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +363,7 @@ class DegradedScheme:
 # ---------------------------------------------------------------------------
 
 
-class CoupledScheme:
+class CoupledScheme(_Scheme):
     """S polar codes over GF(2^m), coupled index by index through MDS codes.
 
     Codeword s carries free symbols on its set A^(s).  At transform index
@@ -377,11 +371,13 @@ class CoupledScheme:
     the number of sets that hold k; the sets that hold k supply it, the
     rest is completed.  Each channel spends m*n binary uses per block.
 
-    One `ScDecoder` decodes all S channels, its rows grouped by channel,
-    walking the indices in order (`_sc_walk`, with frozen symbols 0).
+    One `ScDecoder` per slice of messages decodes all S channels, its rows
+    grouped by channel, walking the indices in order (`_Scheme._walk`, with
+    frozen symbols 0).
 
-    A subclass fixes how the m bit planes of a codeword are laid out for
-    transmission (`_layout`), how the received uses become decoder rows
+    A subclass fixes how each channel's set is built (`_info_set`), how
+    the m bit planes of a codeword are laid out for transmission
+    (`_layout`), how the received uses become decoder rows
     (`_decoder_input`) and, when a row holds a bit plane, how decoder
     values and symbols convert (`_symbols`, `_lanes`).  It also binds
     `encode` and `decode` in its own namespace: the benchmark's chunk
@@ -392,22 +388,7 @@ class CoupledScheme:
     list_size = 1  # components always run successive cancellation
 
     def __init__(self, channels, info_sets, m: int, field_poly: int = 0):
-        channels = tuple(channels)
-        info_sets = tuple(info_sets)
-        if len(channels) != len(info_sets):
-            raise ValueError("one information set per channel required")
-        n = info_sets[0].n
-        if any(a.n != n for a in info_sets):
-            raise ValueError("information sets disagree on block length")
-        self.channels = channels
-        self.info_sets = info_sets
-        self.S = len(channels)
-        self.n = n
-        self.m = m
-        self.field = FieldSpec(m, field_poly)
-        self._symbol_type = np.min_scalar_type(self.field.q - 1)
-        self.family: MdsFamily = MdsFamily(self.field, self.S)
-        self._steps = _walk_steps(info_sets)
+        super().__init__(channels, info_sets, m, field_poly)
         # the indices that share each support: encoding completes a whole
         # group in one call
         groups: dict = {}
@@ -415,14 +396,31 @@ class CoupledScheme:
             if support is not None:
                 groups.setdefault(support, []).append(k)
         self._groups = [(list(p), np.array(idx)) for p, idx in groups.items()]
-        missing = {len(p) for p in groups} - set(self.family.dims)
-        if missing:
-            raise ConstructionError(f"MDS family lacks dimensions {sorted(missing)}")
         # label and index of each free symbol, in message order
-        self._free_labels = np.repeat(np.arange(self.S), [len(a) for a in info_sets])
+        self._free_labels = np.repeat(np.arange(self.S), [len(a) for a in self.info_sets])
         self._free_indices = np.array(
-            [k for a in info_sets for k in a.indices], dtype=np.int64
+            [k for a in self.info_sets for k in a.indices], dtype=np.int64
         )
+
+    @classmethod
+    def build(
+        cls,
+        channels,
+        n: int,
+        m: int,
+        rates=None,
+        threshold: float | None = None,
+    ) -> "CoupledScheme":
+        """Build each channel's set on its own (`_info_set`), at a rate per
+        channel or one threshold, and couple them."""
+        channels = list(channels)
+        if (rates is None) == (threshold is None):
+            raise ValueError("specify exactly one of rates and threshold")
+        sets = [
+            cls._info_set(ch, n, m, None if rates is None else rates[s], threshold)
+            for s, ch in enumerate(channels)
+        ]
+        return cls(channels, sets, m)
 
     @property
     def uses_per_channel(self) -> int:
@@ -451,23 +449,12 @@ class CoupledScheme:
     def decode(self, received, pi):
         """Recover the information bits; `received[s]` is the output
         sequence of channel s, which carried codeword pi[s]."""
-        pi = np.array(_validate_pi(pi, self.S))
+        pi = _validate_pi(pi, self.S)
         y, squeeze = _received_batch(received, self.S, self.uses_per_channel)
-        symbols = np.zeros((self.S, y.shape[1], self.n), dtype=self._symbol_type)
-        dec = ScDecoder(*self._decoder_input(y))
-        tables = _completions(self._steps, self.family, pi, dec.batch // self.S)
-        zero = np.zeros((1, self.n), dtype=np.int64)  # frozen symbols
-        _sc_walk(dec, self._steps, zero, symbols, tables, self._symbols, self._lanes)
-        channel_of = np.argsort(pi)  # the channel that carried each label
-        free = symbols[channel_of[self._free_labels], :, self._free_indices].T
+        symbols = self._walk(y, pi)
+        free = symbols[self._free_labels, :, self._free_indices].T
         bits = symbols_to_bits(free, self.field).astype(np.int64)
         return bits[0] if squeeze else bits
-
-    # a decoder row holds whole symbols unless a subclass converts
-    _symbols = _lanes = None
-
-    def rate(self) -> float:
-        return scheme_rate(self)
 
 
 class InterleavedScheme(CoupledScheme):
@@ -482,28 +469,9 @@ class InterleavedScheme(CoupledScheme):
     encode = CoupledScheme.encode
     decode = CoupledScheme.decode
 
-    @classmethod
-    def build(
-        cls,
-        channels,
-        n: int,
-        m: int,
-        rates=None,
-        threshold: float | None = None,
-    ) -> "InterleavedScheme":
-        channels = list(channels)
-        if (rates is None) == (threshold is None):
-            raise ValueError("specify exactly one of rates and threshold")
-        sets = [
-            build_info_set(
-                ch,
-                n,
-                rate=None if rates is None else rates[s],
-                threshold=threshold,
-            )
-            for s, ch in enumerate(channels)
-        ]
-        return cls(channels, sets, m)
+    @staticmethod
+    def _info_set(channel, n: int, m: int, rate, threshold) -> InformationSet:
+        return build_info_set(channel, n, rate=rate, threshold=threshold)
 
     def _layout(self, planes: np.ndarray) -> np.ndarray:
         return planes.swapaxes(2, 3).reshape(self.S, -1, self.m * self.n)
@@ -534,27 +502,13 @@ class NonBinaryScheme(CoupledScheme):
         super().__init__(channels, info_sets, m, field_poly)
         self.super_channels = tuple(product_power(ch, m) for ch in self.channels)
 
-    @classmethod
-    def build(
-        cls,
-        channels,
-        n: int,
-        m: int,
-        rates=None,
-        threshold: float | None = None,
-    ) -> "NonBinaryScheme":
-        """Sets come from the symbol-level erasure evolution, seeded with
-        the erasure probability of each channel's erasure stand-in (its
-        own for an erasure channel, its Bhattacharyya parameter otherwise)."""
-        channels = list(channels)
-        if (rates is None) == (threshold is None):
-            raise ValueError("specify exactly one of rates and threshold")
-        sets = []
-        for idx, ch in enumerate(channels):
-            z = symbol_erasure_split_reliability(_erasure_parameter(ch), m, n)
-            rate = None if rates is None else rates[idx]
-            sets.append(select_info_set(z, rate, threshold))
-        return cls(channels, sets, m)
+    @staticmethod
+    def _info_set(channel, n: int, m: int, rate, threshold) -> InformationSet:
+        """The symbol-level erasure evolution's set, seeded with the erasure
+        probability of the channel's erasure stand-in (its own for an
+        erasure channel, its Bhattacharyya parameter otherwise)."""
+        z = symbol_erasure_split_reliability(_erasure_parameter(channel), m, n)
+        return select_info_set(z, rate, threshold)
 
     def _layout(self, planes: np.ndarray) -> np.ndarray:
         return planes.reshape(self.S, -1, self.n * self.m)
@@ -564,6 +518,8 @@ class NonBinaryScheme(CoupledScheme):
         output indices (first use most significant)."""
         y_bits = np.asarray(y_bits, dtype=np.int64)
         base = self.channels[channel_index].output_size
+        if np.any((y_bits < 0) | (y_bits >= base)):
+            raise ValueError("received symbol out of the output alphabet")
         grouped = y_bits.reshape(y_bits.shape[:-1] + (self.n, self.m))
         out = np.zeros(grouped.shape[:-1], dtype=np.int64)
         for i in range(self.m):

