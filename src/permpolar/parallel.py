@@ -72,6 +72,8 @@ def _received_batch(received, s_count: int, uses: int) -> tuple[np.ndarray, bool
         raise ValueError(f"expected {s_count} received sequences")
     if y.shape[2] != uses:
         raise ValueError(f"each received sequence must have {uses} uses")
+    if not y.shape[1]:
+        raise ValueError("expected at least one received word per channel")
     return y, squeeze
 
 

@@ -695,13 +695,20 @@ def test_constructors_reject_bad_input(cls, channels, sets, m, message):
         cls(channels, sets, m=m)
 
 
+@pytest.mark.parametrize("cls", [DegradedScheme, InterleavedScheme, NonBinaryScheme])
+def test_decode_rejects_an_empty_batch(cls):
+    sch = cls([NOISELESS] * 2, [InformationSet(4, (2, 3)), InformationSet(4, (3,))], m=1)
+    with pytest.raises(ValueError, match="at least one received word"):
+        sch.decode(np.zeros((2, 0, sch.uses_per_channel), dtype=int), (1, 0))
+
+
 @pytest.mark.parametrize("first, second", [(0, 3), (1, -1)])
 def test_nonbinary_decode_rejects_outputs_outside_a_channels_alphabet(first, second):
     # either pair packs into a valid GF(4) product symbol (3 and 1), so
     # only a check per binary use can catch it
     sch = NonBinaryScheme.build([bsc(0.1), bsc(0.2)], 8, m=2, rates=[0.5, 0.5])
     y = sch.encode(np.zeros(sch.info_bit_count, dtype=int)).astype(np.int64)
-    y[1, 2:4] = first, second  # the second use of the second pair
+    y[1, 2:4] = first, second  # channel 1's second pair: its second use is bad
     with pytest.raises(ValueError, match="output alphabet"):
         sch.decode(list(y), (0, 1))
 
