@@ -517,15 +517,19 @@ class NonBinaryScheme(CoupledScheme):
 
     def pack_received(self, y_bits: np.ndarray, channel_index: int) -> np.ndarray:
         """Group m consecutive binary-channel outputs into product-channel
-        output indices (first use most significant)."""
-        y_bits = np.asarray(y_bits, dtype=np.int64)
+        output indices (first use most significant), of the narrowest
+        unsigned type that holds them."""
+        y_bits = np.asarray(y_bits)
         base = self.channels[channel_index].output_size
         if np.any((y_bits < 0) | (y_bits >= base)):
             raise ValueError("received symbol out of the output alphabet")
-        grouped = y_bits.reshape(y_bits.shape[:-1] + (self.n, self.m))
-        out = np.zeros(grouped.shape[:-1], dtype=np.int64)
-        for i in range(self.m):
-            out = out * base + grouped[..., i]
+        dtype = np.min_scalar_type(base**self.m - 1)
+        shape = y_bits.shape[:-1] + (self.n, self.m)
+        grouped = y_bits.astype(dtype, copy=False).reshape(shape)
+        out = grouped[..., 0].copy()
+        for i in range(1, self.m):
+            out *= base
+            out += grouped[..., i]
         return out
 
     def _decoder_input(self, y: np.ndarray):

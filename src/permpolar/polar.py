@@ -656,7 +656,9 @@ def list_decode(
     2015) on a binary-input channel and returns the most likely surviving
     path; it has no exact mode.
     """
-    received = np.atleast_2d(np.asarray(received, dtype=np.int64))
+    received = np.atleast_2d(np.asarray(received))
+    if received.dtype.kind not in "iu":
+        received = received.astype(np.int64)
     batch, n = received.shape
     _check_power_of_two(n)
     if info_set.n != n:

@@ -76,26 +76,38 @@ def transmit(
 
     `codewords` is (S, uses) for trial `trial`, or (S, b, uses) for the b
     trials from `trial` on, of any integer type; codewords[label] holds
-    the codewords with that label.  The int64 output, of the same shape,
-    has channel s's observation of codeword pi[s] in row s.  Each use
-    takes one uniform u from the (trial, lane s) stream and outputs the
-    first index whose cumulative transition probability exceeds u.
+    the codewords with that label.  The output, of the same shape and of
+    the narrowest unsigned type that holds every channel's outputs (uint8
+    up to 256 outputs), has channel s's observation of codeword pi[s] in
+    row s.  Each use takes one uniform u from the (trial, lane s) stream
+    and outputs the first index whose cumulative transition probability
+    exceeds u.  Trials are sampled in tiles of about 64 Ki uses, so the
+    working arrays beside the output do not grow with b.
     """
     codewords = np.asarray(codewords)
     if codewords.ndim not in (2, 3) or codewords.shape[0] != channel.S:
         raise ValueError(f"expected {channel.S} codewords of equal length")
     x = codewords.reshape(channel.S, -1, codewords.shape[-1])
-    y = np.zeros(x.shape, dtype=np.int64)
-    u = np.empty(x.shape[1:])
+    batch, uses = x.shape[1:]
+    top = max(ch.output_size for ch in channel.channels) - 1
+    y = np.zeros(x.shape, dtype=np.min_scalar_type(top))
+    rows = max(1, min(batch, (1 << 16) // uses))  # a tile of about 64 Ki uses
+    u, cut = np.empty((2, rows, uses))
+    sent = np.empty((rows, uses), dtype=np.intp)
+    reached = np.empty((rows, uses), dtype=bool)
     for s, ch in enumerate(channel.channels):
-        for i in range(x.shape[1]):
-            _lane_draw(seed, trial + i, s, u[i])
         cdf = np.cumsum(ch.transitions, axis=1)
-        sent = x[channel.pi[s]].astype(np.intp)  # numpy gathers fastest by intp
-        # the first index whose cumulative sum exceeds u is the number of
-        # sums u reaches among all but the last, which is 1 in exact terms
-        for j in range(ch.output_size - 1):
-            y[s] += u >= cdf[:, j][sent]
+        for a in range(0, batch, rows):
+            r = min(rows, batch - a)
+            for i in range(r):
+                _lane_draw(seed, trial + a + i, s, u[i])
+            sent[:r] = x[channel.pi[s], a : a + r]  # numpy gathers fastest by intp
+            # the first index whose cumulative sum exceeds u is the number of
+            # sums u reaches among all but the last, which is 1 in exact terms
+            for j in range(ch.output_size - 1):
+                cdf[:, j].take(sent[:r], out=cut[:r])
+                np.greater_equal(u[:r], cut[:r], out=reached[:r])
+                y[s, a : a + r] += reached[:r]
     return y.reshape(codewords.shape)
 
 

@@ -220,6 +220,8 @@ def test_decisions_do_not_depend_on_the_batch():
         u[:, list(info.indices)] = rng.integers(0, 2, (40, 36))
         y = send(rng, ch, polar_encode(u))
         whole = list_decode(ch, y, info, frozen, list_size=4)
+        narrow = list_decode(ch, y.astype(np.uint8), info, frozen, list_size=4)
+        assert np.array_equal(narrow, whole)
         for step in (1, 7):
             parts = [
                 list_decode(ch, y[i : i + step], info, frozen[i : i + step], 4)
@@ -236,6 +238,8 @@ def test_list_decode_validation():
         list_decode(bsc(0.1), np.zeros(4, dtype=int), info, np.full(4, 2), 2)
     with pytest.raises(ValueError, match="output alphabet"):
         list_decode(bsc(0.1), np.full(4, 2), info, np.zeros(4), 2)
+    with pytest.raises(ValueError, match="output alphabet"):
+        list_decode(bsc(0.1), np.full(4, -1), info, np.zeros(4), 2)
     with pytest.raises(ValueError, match="exact"):
         list_decode(bsc(0.1), np.zeros(4, dtype=int), info, np.zeros(4), 2, exact=True)
 

@@ -713,6 +713,18 @@ def test_nonbinary_decode_rejects_outputs_outside_a_channels_alphabet(first, sec
         sch.decode(list(y), (0, 1))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_pack_received_returns_narrow_product_outputs(dtype):
+    sch = NonBinaryScheme.build([bsc(0.11002), bec(0.5)], 16, m=2, rates=[0.25, 0.25])
+    msgs = np.random.default_rng(19).integers(0, 2, (5, sch.info_bit_count))
+    y = transmit(PermutedParallelChannel(sch.channels, (1, 0)), sch.encode(msgs), 15)
+    for s, ch in enumerate(sch.channels):
+        packed = sch.pack_received(y[s].astype(dtype), s)
+        assert packed.dtype == np.uint8  # 4 and 9 product outputs
+        grouped = y[s].astype(np.int64).reshape(5, 16, 2)
+        assert np.array_equal(packed, grouped[..., 0] * ch.output_size + grouped[..., 1])
+
+
 @pytest.mark.parametrize(
     "kind", ["degraded", "degraded-list", "interleaved", "nonbinary"]
 )

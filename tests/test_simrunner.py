@@ -87,25 +87,66 @@ MIXED = DiscreteChannel(np.array([[0.6, 0.25, 0.15, 0.0], [0.0, 0.15, 0.25, 0.6]
 GAP = DiscreteChannel(np.array([[0.7, 0.0, 0.2, 0.1], [0.1, 0.0, 0.2, 0.7]]))
 
 
-@pytest.mark.parametrize("b", [1, 7])
-def test_transmit_trial_range_equals_per_trial_calls(b):
-    ppc = PermutedParallelChannel((bec(0.3), bsc(0.2), MIXED, GAP), (2, 0, 3, 1))
-    x = np.random.default_rng(b).integers(0, 2, (4, b, 48))
-    start = 37
-    y = transmit(ppc, x, seed=11, trial=start)
-    assert y.shape == x.shape and y.dtype == np.int64
-    for i in range(b):
-        single = transmit(ppc, x[:, i], seed=11, trial=start + i)
+def _assert_inverse_cdf_per_trial(ppc, x, y, seed, start):
+    """Each trial of the batch output equals its own call and the inverse
+    CDF on its (trial, lane) stream: the first output whose cumulative
+    probability exceeds the uniform."""
+    for i in range(x.shape[1]):
+        single = transmit(ppc, x[:, i], seed=seed, trial=start + i)
         assert np.array_equal(y[:, i], single)
         for s, ch in enumerate(ppc.channels):
-            # inverse CDF on the (trial, lane) stream: the first output
-            # whose cumulative probability exceeds the uniform
             cdf = np.cumsum(ch.transitions, axis=1)
             cdf[:, -1] = 1.0
-            u = _philox(11, start + i, s).random(48)
+            u = _philox(seed, start + i, s).random(x.shape[-1])
             ref = (u[:, None] < cdf[x[ppc.pi[s], i]]).argmax(axis=1)
             assert np.array_equal(single[s], ref)
+
+
+# 20,000 uses sample in tiles of 3 trials: 7 trials take tiles of 3, 3 and 1
+@pytest.mark.parametrize("b, uses", [(1, 48), (7, 48), (7, 20000)],
+                         ids=["1", "7", "three-tiles"])
+def test_transmit_trial_range_equals_per_trial_calls(b, uses):
+    ppc = PermutedParallelChannel((bec(0.3), bsc(0.2), MIXED, GAP), (2, 0, 3, 1))
+    x = np.random.default_rng(b).integers(0, 2, (4, b, uses))
+    start = 37
+    y = transmit(ppc, x, seed=11, trial=start)
+    assert y.shape == x.shape and y.dtype == np.uint8
+    _assert_inverse_cdf_per_trial(ppc, x, y, 11, start)
     assert not np.any(y[3] == 1)
+
+
+def test_transmit_outputs_past_256_are_uint16():
+    t = np.random.default_rng(3).random((2, 300)) ** 4  # a few likely outputs
+    wide = DiscreteChannel(t / t.sum(axis=1, keepdims=True))
+    ppc = PermutedParallelChannel((wide, bec(0.3)), (1, 0))
+    x = np.random.default_rng(4).integers(0, 2, (2, 5, 64), dtype=np.uint8)
+    y = transmit(ppc, x, seed=9, trial=2)
+    assert y.dtype == np.uint16
+    assert y[0].max() >= 256  # outputs past a byte occur
+    _assert_inverse_cdf_per_trial(ppc, x, y, 9, 2)
+
+
+@pytest.mark.parametrize("b", [1024, 2048])
+def test_transmit_working_memory_does_not_grow_with_the_batch(b):
+    # beside its byte-wide output, transmit holds one tile of about 64 Ki
+    # uses; an int64 output alone would take 8 times the output's bytes
+    import tracemalloc
+
+    ppc = PermutedParallelChannel((bec(0.1), bec(0.3), bec(0.5)), (2, 0, 1))
+    x = np.random.default_rng(b).integers(0, 2, (3, b, 1024), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        y = transmit(ppc, x, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= y.nbytes + (3 << 20)
+
+
+def test_transmit_empty_batch():
+    ppc = PermutedParallelChannel((bec(0.4), bsc(0.2)), (1, 0))
+    y = transmit(ppc, np.zeros((2, 0, 8), dtype=np.uint8), seed=0)
+    assert y.shape == (2, 0, 8) and y.dtype == np.uint8
 
 
 def test_transmit_shape_errors():
