@@ -330,7 +330,7 @@ class DegradedScheme(_Scheme):
     def _extract_bits(self, u: np.ndarray) -> np.ndarray:
         # all three indices advanced: a C-ordered (batch, bits) result
         rows = np.arange(u.shape[1])[:, None]
-        return u[self._free_labels, rows, self._free_indices].astype(np.int64)
+        return u[self._free_labels, rows, self._free_indices]
 
     def _decoder_input(self, y: np.ndarray):
         return self.channels, list(y)
@@ -455,7 +455,7 @@ class CoupledScheme(_Scheme):
         y, squeeze = _received_batch(received, self.S, self.uses_per_channel)
         symbols = self._walk(y, pi)
         free = symbols[self._free_labels, :, self._free_indices].T
-        bits = symbols_to_bits(free, self.field).astype(np.int64)
+        bits = symbols_to_bits(free, self.field)
         return bits[0] if squeeze else bits
 
 
@@ -521,7 +521,7 @@ class NonBinaryScheme(CoupledScheme):
         unsigned type that holds them."""
         y_bits = np.asarray(y_bits)
         base = self.channels[channel_index].output_size
-        if np.any((y_bits < 0) | (y_bits >= base)):
+        if (y_bits.dtype.kind != "u" and np.any(y_bits < 0)) or np.any(y_bits >= base):
             raise ValueError("received symbol out of the output alphabet")
         dtype = np.min_scalar_type(base**self.m - 1)
         shape = y_bits.shape[:-1] + (self.n, self.m)

@@ -360,13 +360,22 @@ def monotone_info_sets(
 # ---------------------------------------------------------------------------
 
 
-# The likelihood floats (rows x q x n) that one decoder is sized to hold, by
-# `evaluate`'s default chunk and by the degraded scheme's walks.
+# rows x q x n likelihood floats, the size of `evaluate`'s default chunk and
+# of every walk slice; a decoder holds about half that, at depths 2 and up.
 DECODER_FLOATS = 1 << 21
 
 # Right children of at least this many symbols (size x rows) select planes by
 # masked XOR: it takes more numpy calls, which timed slower on smaller nodes.
 _XOR_SELECT_MIN = 4096
+
+
+def _normalise(out: np.ndarray) -> None:
+    """Divide a node by its plane sum, a zero sum (all planes +0) by the
+    least subnormal; exact mode skips this, as it would only grow rationals."""
+    if out.dtype.kind != "O":
+        total = np.add.reduce(out, axis=0)
+        np.maximum(total, 5e-324, out=total)
+        out /= total
 
 
 class ScDecoder:
@@ -387,15 +396,18 @@ class ScDecoder:
     pairwise rather than plane by plane as on a larger node, so its last
     bits may differ from the same row's leaf in a batch.
 
-    The decoder is lazy.  Depth d >= 1 of the code tree holds one node's
-    likelihoods as a (q, n >> d, rows) buffer, about q n floats per row in
-    all, and the received and fixed symbols are narrow (n, rows) arrays,
-    so every step runs over contiguous rows of the whole batch.  Depth 1
-    is built from the channel in tiles of rows, of DECODER_FLOATS / 16
-    likelihoods each, that never span two blocks.  `inject` only records symbols; `decide`
-    computes the nodes on the path to its leaf below the deepest one that
-    the previous decided index shares, a right child from its parent and
-    its re-encoded left sibling.  Work is O(n log n) per word.
+    The decoder is lazy.  Depth d >= 2 of the code tree holds one node's
+    likelihoods as a (q, n >> d, rows) buffer, about q n / 2 floats per
+    row in all, and the received and fixed symbols are narrow (n, rows)
+    arrays.  A depth-1 likelihood depends only on an output pair (y_j,
+    y_{j+n/2}) and, in a right child, one left symbol, so depth 1 is never
+    held: a depth-2 node is built in tiles of rows (DECODER_FLOATS / 16
+    likelihoods, within one block) from depth-1 tiles gathered from the
+    channel's table of all output pairs, or computed from the channel
+    where that table would pass a tile's budget.  `inject` only records
+    symbols; `decide` computes the nodes on the path to its leaf below the
+    deepest one that the previous decided index shares, a right child from
+    its parent and its re-encoded left sibling.  Work is O(n log n) per word.
 
     With `exact=True` all arithmetic runs on rationals, so likelihood ties
     are broken exactly (ties resolve to the smallest symbol value).
@@ -418,48 +430,83 @@ class ScDecoder:
         _check_power_of_two(n)
         _check_power_of_two(q)
         for ch, y in zip(channels, blocks):
-            if np.any(y < 0) or np.any(y >= ch.output_size):
+            if (y.dtype.kind != "u" and np.any(y < 0)) or np.any(y >= ch.output_size):
                 raise ValueError("received symbol out of the output alphabet")
         ends = np.cumsum([len(y) for y in blocks])
         batch = int(ends[-1])
         dtype = object if exact else np.float64
         self.n, self.q, self.batch = n, q, batch
         self._depth = n.bit_length() - 1
+        # block[flips[c]][v] is block[v ^ c]; v ^ (q - 1) is a reversed view
+        self._flips = [np.arange(q) ^ c for c in range(q - 1)]
+        self._flips.append(slice(None, None, -1))
         top = max(ch.output_size for ch in channels) - 1
         self._received = np.empty((n, batch), dtype=np.min_scalar_type(top))
         tile = max(1, (DECODER_FLOATS >> 4) // (q * n))
-        self._tiles = []  # (rows, transitions): no tile spans two blocks
+        self._tiles = []  # (rows, transitions, pair table or None): within one block
         for ch, y, end in zip(channels, blocks, ends):
             self._received[:, end - len(y) : end] = y.T
             w = ch.transitions
             if exact:
                 w = np.array([[Fraction(p) for p in r] for r in w], dtype=object)
+            # a two-symbol word's leaf is normalised whole, as a node is
+            small = n > 2 and q * (q + 1) * ch.output_size**2 <= DECODER_FLOATS >> 4
+            table = self._pair_table(w) if small else None
             self._tiles += [
-                (slice(a, min(a + tile, end)), w) for a in range(end - len(y), end, tile)
+                (slice(a, min(a + tile, end)), w, table)
+                for a in range(end - len(y), end, tile)
             ]
-        self._like = [None] + [
-            np.empty((q, n >> d, batch), dtype=dtype) for d in range(1, self._depth + 1)
+        first = min(2, self._depth)  # the shallowest depth held
+        self._like = [None] * first + [
+            np.empty((q, n >> d, batch), dtype=dtype) for d in range(first, self._depth + 1)
         ]
         if not self._depth:  # a one-symbol word decides on its channel likelihoods
-            self._like[0] = np.empty((q, 1, batch), dtype=dtype)
-            for rows, w in self._tiles:
+            for rows, w, _ in self._tiles:
                 self._like[0][:, :, rows] = self._channel(rows, w, 0, 1)
-        # the minus step's products: the largest node not tiled, or one tile
-        self._scratch = np.empty(q * max((n >> 2) * batch, (n >> 1) * min(tile, batch)), dtype)
-        # block[flips[c]][v] is block[v ^ c]; v ^ (q - 1) is a reversed view
-        self._flips = [np.arange(q) ^ c for c in range(q - 1)]
-        self._flips.append(slice(None, None, -1))
+        # the minus step's products: the largest node not tiled, or one
+        # depth-1 tile computed from its channel
+        self._scratch = np.empty(q * max((n >> 3) * batch, (n >> 1) * min(tile, batch)), dtype)
         self._decided = np.zeros((n, batch), dtype=np.min_scalar_type(q - 1))
         self._i = 0
         self._last = None  # the last decided index, whose path is held
+
+    def _pair_table(self, w) -> np.ndarray:
+        """(q, (q + 1) k^2) normalised depth-1 likelihoods of each pair of
+        a channel's k outputs: column y1 k + y2 holds the left child of
+        (y1, y2), column (1 + l) k^2 + y1 k + y2 the right one given l."""
+        q, k = w.shape
+        f, s = np.repeat(w, k, axis=1)[..., None], np.tile(w, k)[..., None]
+        self._scratch = np.empty(q * q * k * k, w.dtype)
+        table = np.empty((q, (q + 1) * k * k, 1), w.dtype)
+        self._node(table[:, : k * k], f, s, None)
+        left = np.repeat(np.arange(q, dtype=np.min_scalar_type(q - 1)), k * k)[:, None]
+        self._node(table[:, k * k :], np.tile(f, (1, q, 1)), np.tile(s, (1, q, 1)), left)
+        _normalise(table)
+        return table[..., 0]
 
     def _channel(self, rows, w, lo: int, hi: int) -> np.ndarray:
         """(q, hi - lo, rows) channel likelihoods of one block's rows."""
         return np.take(w, self._received[lo:hi, rows], axis=1, mode="clip")
 
+    def _pairs(self, rows, w, table, left) -> np.ndarray:
+        """One tile's (q, n / 2, rows) depth-1 node, the left child or the
+        right one given `left`: gathered from the pair table, or computed
+        from the channel, and not yet normalised, where there is none."""
+        h = self.n >> 1
+        if table is None:
+            out = np.empty((self.q, h, rows.stop - rows.start), w.dtype)
+            self._node(out, self._channel(rows, w, 0, h), self._channel(rows, w, h, self.n), left)
+            return out
+        y, k = self._received[:, rows], w.shape[1]
+        codes = y[:h].astype(np.intp) if left is None else (left + np.intp(1)) * k + y[:h]
+        codes *= k
+        codes += y[h:]
+        return np.take(table, codes, axis=1, mode="clip")
+
     def _combine(self, d: int, i: int) -> None:
         """Compute the depth-d node on the path to index i from its parent;
-        a depth-1 node from the channel, one tile of rows at a time.
+        a depth-2 node (a depth-1 leaf when n = 2) one tile of rows at a
+        time, from its depth-1 parent's tile.
 
         Decisions and ties rest on this float order: a left child sums
         out[v] = f[v ^ c] s[c] over c = 0..q-1, a right child is
@@ -472,22 +519,23 @@ class ScDecoder:
             left = self._decided[start - size : start]
             if size > 1:  # a single symbol is its own transform
                 left = _butterflies(left.copy(), axis=0)
-        if d > 1:
+        if d > 2:
             parent = self._like[d - 1]
             self._node(out, parent[:, :size], parent[:, size:], left)
         else:
-            for rows, w in self._tiles:  # a tile's likelihoods go when _node returns
-                self._node(
-                    out[:, :, rows],
-                    self._channel(rows, w, 0, size),
-                    self._channel(rows, w, size, self.n),
-                    None if left is None else left[:, rows],
-                )
-        if out.dtype != object:
-            # exact mode skips this: it would only grow the rationals
-            total = np.add.reduce(out, axis=0)
-            total[total == 0.0] = 1.0
-            out /= total
+            h, up = self.n >> 1, left
+            if d == 2:  # in the right half, the parent's sibling is the first half
+                up = _butterflies(self._decided[:h].copy(), axis=0) if i & h else None
+            for rows, w, table in self._tiles:  # a tile's parent goes when the loop moves on
+                parent = self._pairs(rows, w, table, None if up is None else up[:, rows])
+                if d == 1:
+                    out[:, :, rows] = parent
+                    continue
+                if table is None:
+                    _normalise(parent)
+                sub = None if left is None else left[:, rows]
+                self._node(out[:, :, rows], parent[:, :size], parent[:, size:], sub)
+        _normalise(out)  # as a whole: numpy sums a (q, 1, 1) tile's planes pairwise
 
     def _node(self, out, f, s, left) -> None:
         """The left child of halves f, s, or the right one given `left`."""
@@ -530,7 +578,7 @@ class ScDecoder:
             raise RuntimeError("decoder already finished")
         depth = self._depth
         shared = 0 if self._last is None else depth - (i ^ self._last).bit_length()
-        for d in range(shared + 1, depth + 1):
+        for d in range(max(shared + 1, min(2, depth)), depth + 1):
             self._combine(d, i)
         values = self._like[depth][:, 0].argmax(axis=0)
         self._decided[i] = values
@@ -883,43 +931,25 @@ def error_event_probability(
         raise ResourceLimitError(f"enumeration cost {cost} exceeds cap {cap}")
 
     wf = [[Fraction(p) for p in row] for row in ch.transitions]
-    prefix = [int(v) for v in u[:l]]
-    true_sym = int(u[l])
-    alt_sym = true_sym ^ d
 
-    def codewords_for(symbol: int) -> list[np.ndarray]:
-        words = []
-        for suffix in itertools.product(range(q), repeat=n - 1 - l):
-            vec = np.array(prefix + [symbol] + list(suffix), dtype=np.int64)
-            words.append(polar_encode(vec))
-        return words
+    def likelihood(cw, y) -> Fraction:
+        term = Fraction(1)
+        for t in range(n):
+            term *= wf[cw[t]][y[t]]
+            if term == 0:
+                break
+        return term
 
-    cw_true = codewords_for(true_sym)
-    cw_alt = codewords_for(alt_sym)
+    suffixes = list(itertools.product(range(q), repeat=n - 1 - l))
+    cw_true, cw_alt = (
+        [polar_encode(np.array([*u[:l], symbol, *suffix])) for suffix in suffixes]
+        for symbol in (u[l], u[l] ^ d)
+    )
     x_sent = polar_encode(u)
-
     total = Fraction(0)
     for y in itertools.product(range(y_size), repeat=n):
-        p_y = Fraction(1)
-        for t in range(n):
-            p_y *= wf[x_sent[t]][y[t]]
-            if p_y == 0:
-                break
-        if p_y == 0:
-            continue
-
-        def split_mass(words) -> Fraction:
-            mass = Fraction(0)
-            for cw in words:
-                term = Fraction(1)
-                for t in range(n):
-                    term *= wf[cw[t]][y[t]]
-                    if term == 0:
-                        break
-                mass += term
-            return mass
-
-        if split_mass(cw_true) <= split_mass(cw_alt):
+        p_y = likelihood(x_sent, y)
+        if p_y and sum(likelihood(c, y) for c in cw_true) <= sum(likelihood(c, y) for c in cw_alt):
             total += p_y
     return float(total)
 
@@ -976,18 +1006,13 @@ def symbol_erasure_split_reliability(eps_bit: float, m: int, n: int) -> np.ndarr
             span |= {v ^ g for v in span}
         return frozenset(span)
 
-    sum_map = np.zeros((nsub, nsub), dtype=np.int64)
-    int_map = np.zeros((nsub, nsub), dtype=np.int64)
-    for i, a in enumerate(subs):
-        for j, b in enumerate(subs):
-            sum_map[i, j] = index_of[span_of(a, b)]
-            int_map[i, j] = index_of[frozenset(a & b)]
+    # row i nsub + j of each scatter marks the sum or intersection of i, j
     scatter_sum = np.zeros((nsub * nsub, nsub))
     scatter_int = np.zeros((nsub * nsub, nsub))
-    for i in range(nsub):
-        for j in range(nsub):
-            scatter_sum[i * nsub + j, sum_map[i, j]] = 1.0
-            scatter_int[i * nsub + j, int_map[i, j]] = 1.0
+    for i, a in enumerate(subs):
+        for j, b in enumerate(subs):
+            scatter_sum[i * nsub + j, index_of[span_of(a, b)]] = 1.0
+            scatter_int[i * nsub + j, index_of[frozenset(a & b)]] = 1.0
 
     # initial distribution: erased bit positions span the ambiguity space
     init = np.zeros(nsub)
@@ -1004,8 +1029,5 @@ def symbol_erasure_split_reliability(eps_bit: float, m: int, n: int) -> np.ndarr
     dist = init[None, :]
     while dist.shape[0] < n:
         pair = np.einsum("ai,aj->aij", dist, dist).reshape(dist.shape[0], -1)
-        minus = pair @ scatter_sum
-        plus = pair @ scatter_int
-        dist = np.stack([minus, plus], axis=1).reshape(-1, nsub)
-    trivial = index_of[frozenset({0})]
-    return 1.0 - dist[:, trivial]
+        dist = np.stack([pair @ scatter_sum, pair @ scatter_int], axis=1).reshape(-1, nsub)
+    return 1.0 - dist[:, index_of[frozenset({0})]]

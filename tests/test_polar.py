@@ -457,7 +457,8 @@ def test_injected_word_makes_no_likelihood_combine(monkeypatch):
 
 def test_decide_computes_only_its_own_path(monkeypatch):
     # with every earlier index injected, deciding the last index of an
-    # n-block computes the log2(n) nodes on its path and nothing else
+    # n-block computes the nodes on its path from depth 2 down and nothing
+    # else: depth-1 values come from the channel's pair table
     calls = []
     combine = ScDecoder._combine
     monkeypatch.setattr(
@@ -467,7 +468,7 @@ def test_decide_computes_only_its_own_path(monkeypatch):
     dec = ScDecoder(bsc(0.1), y)
     dec.inject(np.zeros((1, 31), dtype=int), index=0)
     dec.decide()
-    assert calls == [1, 2, 3, 4, 5]
+    assert calls == [2, 3, 4, 5]
     last = InformationSet(32, (31,))
     assert np.array_equal(dec.decisions[0], list_decode(bsc(0.1), y, last, 0)[0])
 
@@ -577,11 +578,11 @@ def test_row_grouped_decoder_equals_per_channel_decoders(q, exact, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [2, 4])
-def test_decoder_stores_no_channel_likelihoods(q):
-    # a decoder holds its nodes (about q n floats per row), a scratch of a
-    # quarter of that and narrow symbols, and it never expands the
-    # received symbols into channel likelihoods; it peaks below 2 q n
-    # floats per row while decoding a word of uint8 symbols
+def test_decoder_holds_no_depth_one_node(q):
+    # a decoder holds its nodes of depths 2 and up (about q n / 2 floats
+    # per row), a scratch of q n / 8 and narrow symbols; depth-1 values are
+    # gathered a tile at a time from the pair table, and the received
+    # symbols are never expanded into channel likelihoods
     import tracemalloc
 
     ch = product_power(bsc(0.2), q.bit_length() - 1)
@@ -595,9 +596,71 @@ def test_decoder_stores_no_channel_likelihoods(q):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * q * n * rows * 8
+    assert dec._like[1] is None
+    assert peak <= 1.25 * q * n * rows * 8
     every = InformationSet(n, tuple(range(n)))
     assert np.array_equal(dec.decisions[:3], list_decode(ch, y[:3], every, 0))
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_pair_table_tiles_equal_channel_tiles(q, monkeypatch):
+    # a budget of 0 sends every channel's depth-1 tiles through the channel
+    # likelihoods (in one-row tiles): decisions and every leaf's float bits
+    # equal those built from the pair tables; the row group's tiles end at
+    # its block boundary either way
+    m = q.bit_length() - 1
+    rng = np.random.default_rng(40 + q)
+    one = (product_power(bsc(0.2), m),)
+    two = (product_power(bsc(0.11002), m), product_power(bec(0.5), m))
+    cases = [(one, 16, (1024,)), (one, 64, (1024,)), (two, 64, (700, 324))]
+    for channels, n, sizes in cases:
+        ys = [rng.integers(0, ch.output_size, (r, n)) for ch, r in zip(channels, sizes)]
+        info = rng.random(n) < 0.6
+        frozen = rng.integers(0, q, (sum(sizes), n))
+
+        def run():
+            dec, leaves = ScDecoder(channels, ys), []
+            for i in range(n):
+                if info[i]:
+                    dec.decide()
+                    leaves.append(dec._like[-1][:, 0].copy())
+                else:
+                    dec.inject(frozen[:, i], index=i)
+            ends = {t[0].stop for t in dec._tiles}
+            assert sizes[0] in ends and all(t[0].stop - t[0].start > 0 for t in dec._tiles)
+            return dec.decisions, np.stack(leaves).view(np.uint64), dec._tiles
+
+        tabled = run()
+        with monkeypatch.context() as patched:
+            patched.setattr(polar, "DECODER_FLOATS", 0)
+            computed = run()
+        assert all(t[2] is not None for t in tabled[2])
+        assert all(t[2] is None for t in computed[2])
+        assert np.array_equal(tabled[0], computed[0])
+        assert np.array_equal(tabled[1], computed[1])
+
+
+@pytest.mark.parametrize("wide", [True, False], ids=["300-outputs", "bsc"])
+def test_pair_tables_and_channel_tiles_decode_as_exact(wide):
+    # 2 x 3 x 300^2 table floats pass one tile's budget, so this channel's
+    # depth-1 tiles come from its likelihoods; a BSC's come from its table
+    rng = np.random.default_rng(41)
+    if wide:
+        t = rng.random((2, 300)) ** 4
+        ch = DiscreteChannel(t / t.sum(axis=1, keepdims=True))
+    else:
+        ch = bsc(0.2)
+    decoded = 0
+    for n in (2, 4, 8, 16):
+        mask = rng.random(n) < 0.7
+        info = InformationSet(n, tuple(np.flatnonzero(mask)))
+        frozen = rng.integers(0, 2, (12, n))
+        y = rng.integers(0, ch.output_size, (12, n))
+        assert (ScDecoder(ch, y)._tiles[0][2] is None) == (wide or n == 2)
+        got = list_decode(ch, y, info, frozen)
+        assert np.array_equal(got, list_decode(ch, y, info, frozen, exact=True))
+        decoded += len(info)
+    assert decoded > 10
 
 
 def _walk_steps_by_index(info_sets):
@@ -638,7 +701,7 @@ def test_walk_steps_equal_the_per_index_definition():
 
 @pytest.mark.parametrize("q", [2, 4, 8])
 def test_xor_plane_select_equals_masked_copies(q, monkeypatch):
-    # the batch's depth-1 and depth-2 right children pick their planes by
+    # the batch's depth-2 right children pick their planes by
     # masked XOR on the float bits; raising the threshold above every node
     # sends the same batch through the masked copies.  (One decoder per
     # word is no reference at q = 8: numpy sums its single-row leaf's eight
@@ -669,7 +732,7 @@ def test_xor_plane_select_equals_masked_copies(q, monkeypatch):
         copied = run()
     assert not shapes
     selected = run()
-    assert shapes == [(q, 4, rows), (q, 8, rows), (q, 4, rows)]  # indices 4, 8, 12
+    assert shapes == [(q, 4, rows), (q, 4, rows)]  # indices 4 and 12
     assert np.array_equal(selected[0], copied[0])
     assert np.array_equal(selected[1], copied[1])
     every = InformationSet(n, tuple(range(n)))
