@@ -16,6 +16,7 @@ tables enter the encoder or decoder.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -378,6 +379,46 @@ def _normalise(out: np.ndarray) -> None:
         out /= total
 
 
+def _integers(values) -> np.ndarray:
+    """`values` as an array of an integer type: as given, or as int64 where
+    every value is integral."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        with np.errstate(invalid="ignore"):
+            a, given = a.astype(np.int64), a
+        if not np.array_equal(a, given):
+            raise ValueError("symbols must be integers")
+    return a
+
+
+def _table_fits(q: int, outputs: int, m: int) -> bool:
+    """Whether a channel's table of m-output words fits one tile's budget."""
+    return q * sum(q**t for t in range(m)) * outputs**m <= DECODER_FLOATS >> 4
+
+
+@functools.lru_cache(maxsize=16)
+def _word_table(channel: DiscreteChannel, m: int, exact: bool) -> np.ndarray:
+    """(q, 1 + q + ... + q^(m-1), k^m) leaves of m-symbol words on a channel
+    of k outputs: [:, o_t + p, y] is index t's given its decided prefix p
+    (t symbols) on output word y, both first symbol most significant, with
+    o_t = 1 + q + ... + q^(t-1).  An m-symbol decoder decides every word under
+    every prefix of m - 1 symbols, amended in; index t reads the rows whose
+    later prefix symbols are 0.  Decoders on equal channels share a table."""
+    q, k = channel.transitions.shape
+    words = np.indices((k,) * m).reshape(m, -1).T
+    prefixes = np.repeat(np.indices((q,) * (m - 1)).reshape(m - 1, -1), k**m, axis=1)
+    dec = ScDecoder(channel, np.tile(words, (q ** (m - 1), 1)), exact)
+    leaves = []
+    for t in range(m):
+        dec.decide()
+        leaves.append(dec._like[-1][:, 0].reshape(q, q**t, -1, k**m)[:, :, 0].copy())
+        if t < m - 1:
+            dec.amend(prefixes[t], np.ones(dec.batch, dtype=bool))
+    table = np.concatenate(leaves, axis=1)
+    table.flags.writeable = False
+    return table
+
+
 class ScDecoder:
     """Stepwise successive cancellation decoder over a batch of words.
 
@@ -399,25 +440,31 @@ class ScDecoder:
     The decoder is lazy.  Depth d >= 2 of the code tree holds one node's
     likelihoods as a (q, n >> d, rows) buffer, about q n / 2 floats per
     row in all, and the received and fixed symbols are narrow (n, rows)
-    arrays.  A depth-1 likelihood depends only on an output pair (y_j,
-    y_{j+n/2}) and, in a right child, one left symbol, so depth 1 is never
-    held: a depth-2 node is built in tiles of rows (DECODER_FLOATS / 16
-    likelihoods, within one block) from depth-1 tiles gathered from the
-    channel's table of all output pairs, or computed from the channel
-    where that table would pass a tile's budget.  `inject` only records
-    symbols; `decide` computes the nodes on the path to its leaf below the
-    deepest one that the previous decided index shares, a right child from
-    its parent and its re-encoded left sibling.  Work is O(n log n) per word.
+    arrays.  A depth-2 likelihood at position j depends only on the outputs
+    y_{j + r n/4}, r < 4, and, in the node of rank t, the re-encoded
+    symbols at j of the t depth-2 subtrees before it (each re-encoded
+    once).  So for n >= 8, where every channel's table of 4-output words
+    fits a tile's budget (DECODER_FLOATS / 16 floats), a depth-2 node is one
+    gather from those tables.  Otherwise it is built in tiles of rows
+    (within one block) from depth-1 tiles, gathered from the channel's
+    table of output pairs, or computed from the channel where that passes
+    the budget too.  A channel's first decoder builds its tables
+    (`_word_table`).  `inject` only records symbols; `decide` computes the
+    nodes on the path to its leaf below the deepest one that the previous
+    decided index shares, a right child from its parent and its re-encoded
+    left sibling, and decides a binary leaf by one compare.  Work is
+    O(n log n) per word.
 
-    With `exact=True` all arithmetic runs on rationals, so likelihood ties
-    are broken exactly (ties resolve to the smallest symbol value).
+    With `exact=True` all arithmetic runs on rationals, without the tables
+    of 4-output words, so likelihood ties are broken exactly (ties resolve
+    to the smallest symbol value).
     """
 
     def __init__(self, channel, received, exact: bool = False):
         if isinstance(channel, DiscreteChannel):
             channel, received = (channel,), (received,)
         channels = tuple(channel)
-        blocks = [np.atleast_2d(np.asarray(y)) for y in received]
+        blocks = [np.atleast_2d(_integers(y)) for y in received]
         if not channels or len(channels) != len(blocks):
             raise ValueError("one block of received rows per channel required")
         if any(y.ndim != 2 for y in blocks):
@@ -437,11 +484,18 @@ class ScDecoder:
         dtype = object if exact else np.float64
         self.n, self.q, self.batch = n, q, batch
         self._depth = n.bit_length() - 1
-        # block[flips[c]][v] is block[v ^ c]; v ^ (q - 1) is a reversed view
-        self._flips = [np.arange(q) ^ c for c in range(q - 1)]
-        self._flips.append(slice(None, None, -1))
+        # f[flips[c]] is plane v ^ c of f, its planes split into bit axes
+        # (most significant first) for q > 2: c reverses the axes of its bits
+        m = q.bit_length() - 1
+        self._bits = (2,) * m
+        self._flips = [tuple(slice(None, None, 1 - (c >> b & 1) * 2) for b in range(m)[::-1])
+                       for c in range(q)]
         top = max(ch.output_size for ch in channels) - 1
         self._received = np.empty((n, batch), dtype=np.min_scalar_type(top))
+        # depth-2 nodes gathered from the channels' tables of 4-output words
+        self._quads = not exact and n >= 8 and all(
+            _table_fits(q, ch.output_size, 4) for ch in channels
+        )
         tile = max(1, (DECODER_FLOATS >> 4) // (q * n))
         self._tiles = []  # (rows, transitions, pair table or None): within one block
         for ch, y, end in zip(channels, blocks, ends):
@@ -450,12 +504,19 @@ class ScDecoder:
             if exact:
                 w = np.array([[Fraction(p) for p in r] for r in w], dtype=object)
             # a two-symbol word's leaf is normalised whole, as a node is
-            small = n > 2 and q * (q + 1) * ch.output_size**2 <= DECODER_FLOATS >> 4
-            table = self._pair_table(w) if small else None
+            table = None
+            if n > 2 and not self._quads and _table_fits(q, ch.output_size, 2):
+                table = _word_table(ch, 2, exact).reshape(q, -1)
             self._tiles += [
                 (slice(a, min(a + tile, end)), w, table)
                 for a in range(end - len(y), end, tile)
             ]
+        g = n >> 2  # the size of a depth-2 node
+        if self._quads:
+            self._words_from(channels, ends)
+        # re-encoded depth-2 subtrees, and how many are so far
+        self._coded = np.empty((g if self._quads else 3 * g, batch), np.min_scalar_type(q - 1))
+        self._encoded = 0
         first = min(2, self._depth)  # the shallowest depth held
         self._like = [None] * first + [
             np.empty((q, n >> d, batch), dtype=dtype) for d in range(first, self._depth + 1)
@@ -464,25 +525,31 @@ class ScDecoder:
             for rows, w, _ in self._tiles:
                 self._like[0][:, :, rows] = self._channel(rows, w, 0, 1)
         # the minus step's products: the largest node not tiled, or one
-        # depth-1 tile computed from its channel
+        # depth-1 tile computed from its channel; a depth-2 gather's codes
         self._scratch = np.empty(q * max((n >> 3) * batch, (n >> 1) * min(tile, batch)), dtype)
         self._decided = np.zeros((n, batch), dtype=np.min_scalar_type(q - 1))
+        # a binary leaf's compare writes bools into its row, with no cast
+        self._flags = self._decided.view(np.bool_) if q == 2 else None
         self._i = 0
         self._last = None  # the last decided index, whose path is held
 
-    def _pair_table(self, w) -> np.ndarray:
-        """(q, (q + 1) k^2) normalised depth-1 likelihoods of each pair of
-        a channel's k outputs: column y1 k + y2 holds the left child of
-        (y1, y2), column (1 + l) k^2 + y1 k + y2 the right one given l."""
-        q, k = w.shape
-        f, s = np.repeat(w, k, axis=1)[..., None], np.tile(w, k)[..., None]
-        self._scratch = np.empty(q * q * k * k, w.dtype)
-        table = np.empty((q, (q + 1) * k * k, 1), w.dtype)
-        self._node(table[:, : k * k], f, s, None)
-        left = np.repeat(np.arange(q, dtype=np.min_scalar_type(q - 1)), k * k)[:, None]
-        self._node(table[:, k * k :], np.tile(f, (1, q, 1)), np.tile(s, (1, q, 1)), left)
-        _normalise(table)
-        return table[..., 0]
+    def _words_from(self, channels, ends) -> None:
+        """One table of every channel's 4-output words, word-major, and
+        each row's column of its word at prefix rank 0 in it."""
+        g, tables = self.n >> 2, [_word_table(ch, 4, False) for ch in channels]
+        ranks = tables[0].shape[1]
+        self._table = np.concatenate([t.transpose(0, 2, 1).reshape(self.q, -1) for t in tables], 1)
+        self._words = np.zeros((g, self.batch), np.min_scalar_type(self._table.shape[1] - 1))
+        self._prefix = np.zeros((g, self.batch), np.min_scalar_type(ranks - 1))
+        base = 0  # the block's first column
+        for ch, start, end in zip(channels, np.r_[0, ends[:-1]], ends):
+            words = self._words[:, start:end]
+            for r in range(4):
+                words *= ch.output_size
+                words += self._received[r * g : (r + 1) * g, start:end]
+            words *= ranks
+            words += base
+            base += ranks * ch.output_size**4
 
     def _channel(self, rows, w, lo: int, hi: int) -> np.ndarray:
         """(q, hi - lo, rows) channel likelihoods of one block's rows."""
@@ -503,56 +570,87 @@ class ScDecoder:
         codes += y[h:]
         return np.take(table, codes, axis=1, mode="clip")
 
+    def _reencode(self, t: int) -> None:
+        """Re-encode each depth-2 subtree before rank t once: into the
+        tables' prefix rank, or into `_coded`, where subtrees 0 and 1 end
+        as the first half's transform."""
+        g = self.n >> 2
+        for r in range(self._encoded, t):
+            e = self._coded if self._quads else self._coded[r * g : (r + 1) * g]
+            np.copyto(e, self._decided[r * g : (r + 1) * g])
+            _butterflies(e, axis=0)
+            if self._quads:  # rank q p + 1 + e
+                self._prefix *= self.q
+                self._prefix += e
+                self._prefix += 1
+            elif r == 1:
+                self._coded[:g] ^= e
+        self._encoded = max(self._encoded, t)
+
     def _combine(self, d: int, i: int) -> None:
         """Compute the depth-d node on the path to index i from its parent;
-        a depth-2 node (a depth-1 leaf when n = 2) one tile of rows at a
-        time, from its depth-1 parent's tile.
+        a depth-2 node (a depth-1 leaf when n = 2) by one gather, or one
+        tile of rows at a time from its depth-1 parent's tile.
 
         Decisions and ties rest on this float order: a left child sums
         out[v] = f[v ^ c] s[c] over c = 0..q-1, a right child is
         out[x] = f[left ^ x] s[x], and both are divided by their plane sum.
         """
         size, out = self.n >> d, self._like[d]
-        start = i >> (self._depth - d) << (self._depth - d)
-        left = None
-        if start & size:
-            left = self._decided[start - size : start]
-            if size > 1:  # a single symbol is its own transform
-                left = _butterflies(left.copy(), axis=0)
         if d > 2:
+            start = i >> (self._depth - d) << (self._depth - d)
+            left = None
+            if start & size:
+                left = self._decided[start - size : start]
+                if size > 1:  # a single symbol is its own transform
+                    left = _butterflies(left.copy(), axis=0)
             parent = self._like[d - 1]
             self._node(out, parent[:, :size], parent[:, size:], left)
+            _normalise(out)
+            return
+        up = left = None
+        if d == 1:  # n = 2
+            up = self._decided[:1] if i else None
         else:
-            h, up = self.n >> 1, left
-            if d == 2:  # in the right half, the parent's sibling is the first half
-                up = _butterflies(self._decided[:h].copy(), axis=0) if i & h else None
-            for rows, w, table in self._tiles:  # a tile's parent goes when the loop moves on
-                parent = self._pairs(rows, w, table, None if up is None else up[:, rows])
-                if d == 1:
-                    out[:, :, rows] = parent
-                    continue
-                if table is None:
-                    _normalise(parent)
-                sub = None if left is None else left[:, rows]
-                self._node(out[:, :, rows], parent[:, :size], parent[:, size:], sub)
+            t = i >> (self._depth - 2)  # the node's rank
+            self._reencode(t)
+            if self._quads:  # normalised in the table
+                codes = self._scratch[: out[0].size].view(np.intp).reshape(out.shape[1:])
+                np.add(self._words, self._prefix, out=codes)
+                np.take(self._table, codes, axis=1, out=out, mode="clip")
+                return
+            up = self._coded[: 2 * size] if t & 2 else None
+            left = self._coded[(t - 1) * size : t * size] if t & 1 else None
+        for rows, w, table in self._tiles:  # a tile's parent goes when the loop moves on
+            parent = self._pairs(rows, w, table, None if up is None else up[:, rows])
+            if d == 1:
+                out[:, :, rows] = parent
+                continue
+            if table is None:
+                _normalise(parent)
+            sub = None if left is None else left[:, rows]
+            self._node(out[:, :, rows], parent[:, :size], parent[:, size:], sub)
         _normalise(out)  # as a whole: numpy sums a (q, 1, 1) tile's planes pairwise
 
     def _node(self, out, f, s, left) -> None:
         """The left child of halves f, s, or the right one given `left`."""
+        o, g = out, f
+        if self.q > 2:  # planes by bit axes, where a flip is a view
+            o, g = out.reshape(self._bits + out.shape[1:]), f.reshape(self._bits + f.shape[1:])
         if left is not None:
             if out.dtype != object and out[0].size >= _XOR_SELECT_MIN:
                 self._xor_select(out, f, left)
             else:
                 np.copyto(out, f)
                 for c in range(1, self.q):
-                    np.copyto(out, f[self._flips[c]], where=left == c)
+                    np.copyto(o, g[self._flips[c]], where=left == c)
             out *= s
         else:
-            product = self._scratch[: out.size].reshape(out.shape)
+            product = self._scratch[: out.size].reshape(o.shape)
             np.multiply(f, s[0], out=out)
             for c in range(1, self.q):
-                np.multiply(f[self._flips[c]], s[c], out=product)
-                out += product
+                np.multiply(g[self._flips[c]], s[c], out=product)
+                o += product
 
     def _xor_select(self, out, f, left) -> None:
         """out[x] = f[x ^ left] on the float bit patterns, one bit of `left`
@@ -580,16 +678,18 @@ class ScDecoder:
         shared = 0 if self._last is None else depth - (i ^ self._last).bit_length()
         for d in range(max(shared + 1, min(2, depth)), depth + 1):
             self._combine(d, i)
-        values = self._like[depth][:, 0].argmax(axis=0)
-        self._decided[i] = values
+        leaf = self._like[depth][:, 0]
         self._i, self._last = i + 1, i
-        return values.astype(np.int64, copy=False)
+        if self.q == 2:  # a tie decides 0, as argmax's first maximum does
+            return np.greater(leaf[1], leaf[0], out=self._flags[i]).astype(np.int64)
+        self._decided[i] = values = leaf.argmax(axis=0)
+        return values
 
     def inject(self, values, index: int | None = None) -> np.ndarray:
         """Supply the current index's symbols, one or one per row.  A 2-D
         (rows or 1, count) array supplies the next `count` indices at once."""
         i = self._i
-        values = np.asarray(values, dtype=np.int64)
+        values = _integers(values)
         if values.ndim > 2:
             raise ValueError("inject takes a scalar, a row or a 2-D block")
         count = values.shape[1] if values.ndim == 2 else 1
@@ -613,7 +713,7 @@ class ScDecoder:
         boolean `rows` is true.  No node computed so far depends on them."""
         if self._i == 0:
             raise RuntimeError("no index fixed yet")
-        values = np.asarray(values, dtype=np.int64)
+        values = _integers(values).astype(np.int64, copy=False)
         rows = np.asarray(rows, dtype=bool)
         if values.shape != (self.batch,) or rows.shape != (self.batch,):
             raise ValueError(f"amend takes {self.batch} symbols and {self.batch} flags")
@@ -704,14 +804,12 @@ def list_decode(
     2015) on a binary-input channel and returns the most likely surviving
     path; it has no exact mode.
     """
-    received = np.atleast_2d(np.asarray(received))
-    if received.dtype.kind not in "iu":
-        received = received.astype(np.int64)
+    received = np.atleast_2d(_integers(received))
     batch, n = received.shape
     _check_power_of_two(n)
     if info_set.n != n:
         raise ValueError("information set and received words disagree on n")
-    frozen = np.broadcast_to(np.asarray(frozen, dtype=np.int64), (batch, n))
+    frozen = np.broadcast_to(_integers(frozen).astype(np.int64, copy=False), (batch, n))
     if int(list_size) != list_size or list_size < 1:
         raise ValueError(f"list size must be an integer >= 1, got {list_size!r}")
     if list_size == 1:

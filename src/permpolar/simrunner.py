@@ -182,6 +182,10 @@ def evaluate(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if chunk is not None and chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     s_count = scheme.S
     if permutations == "all":
         if s_count > MAX_ALL_PERMUTATIONS_S:

@@ -407,15 +407,16 @@ def test_coupled_decode_steps_one_decoder_over_the_union(cls, monkeypatch):
 
         return call
 
-    for name in ("decide", "inject", "_combine"):
-        monkeypatch.setattr(ScDecoder, name, counted(name, getattr(ScDecoder, name)))
     sch = cls.build([bsc(0.11002), bec(0.5)], 64, m=2, rates=[0.25, 0.25])
     msgs = np.random.default_rng(7).integers(0, 2, (4, sch.info_bit_count))
     y = transmit(PermutedParallelChannel(sch.channels, (1, 0)), sch.encode(msgs), 11)
+    sch.decode(list(y), (1, 0))  # builds the channels' tables, which are then shared
+    for name in ("decide", "inject", "_combine"):
+        monkeypatch.setattr(ScDecoder, name, counted(name, getattr(ScDecoder, name)))
     sch.decode(list(y), (1, 0))
     union = sorted(set(sch.info_sets[0].indices) | set(sch.info_sets[1].indices))
     runs = sum(1 for k in range(64) if k not in union and (k == 0 or k - 1 in union))
-    # depths 2 to 6: depth-1 values come from pair tables, not combines
+    # depths 2 to 6: no depth-1 node is combined
     paths = 5 + sum(min((a ^ b).bit_length(), 5) for a, b in zip(union, union[1:]))
     assert len(union) < 32  # the sets overlap
     assert counts == {"decide": len(union), "inject": runs, "_combine": paths}
@@ -517,17 +518,18 @@ def test_degraded_decode_walks_one_decoder(monkeypatch):
 
         return call
 
-    for name in ("__init__", "decide", "inject", "_combine", "amend"):
-        monkeypatch.setattr(ScDecoder, name, counted(name, getattr(ScDecoder, name)))
     sch = DegradedScheme.build(
         [bec(0.1), bec(0.3), bec(0.5)], 64, rates=[0.75, 0.5, 0.375]
     )
     msgs = np.random.default_rng(9).integers(0, 2, (4, sch.info_bit_count))
     y = transmit(PermutedParallelChannel(sch.channels, (2, 0, 1)), sch.encode(msgs), 11)
+    sch.decode(list(y), (2, 0, 1))  # builds the channels' tables, which are then shared
+    for name in ("__init__", "decide", "inject", "_combine", "amend"):
+        monkeypatch.setattr(ScDecoder, name, counted(name, getattr(ScDecoder, name)))
     sch.decode(list(y), (2, 0, 1))
     first = sch.info_sets[0].indices
     runs = sum(1 for k in range(64) if k not in first and (k == 0 or k - 1 in first))
-    # depths 2 to 6: depth-1 values come from pair tables, not combines
+    # depths 2 to 6: no depth-1 node is combined
     paths = 5 + sum(min((a ^ b).bit_length(), 5) for a, b in zip(first, first[1:]))
     assert counts == {
         "__init__": 1,

@@ -442,30 +442,31 @@ def test_injected_word_makes_no_likelihood_combine(monkeypatch):
     def combine(*args):
         raise AssertionError("likelihoods computed for an injected index")
 
-    monkeypatch.setattr(ScDecoder, "_combine", combine)
     rng = np.random.default_rng(9)
     for ch, n in [(bsc(0.1), 16), (q_ary_symmetric(4, 0.2), 8)]:
         y = rng.integers(0, ch.output_size, (5, n))
         u = rng.integers(0, ch.input_size, (5, n))
-        dec = ScDecoder(ch, y)
+        dec = ScDecoder(ch, y)  # the channel's first decoder builds its tables
+        monkeypatch.setattr(ScDecoder, "_combine", combine)
         dec.inject(u[:, :3], index=0)
         for i in range(3, n):
             dec.inject(u[:, i], index=i)
         assert np.array_equal(dec.decisions, u)
         assert np.array_equal(dec.codeword, polar_encode(u))
+        monkeypatch.undo()
 
 
 def test_decide_computes_only_its_own_path(monkeypatch):
     # with every earlier index injected, deciding the last index of an
     # n-block computes the nodes on its path from depth 2 down and nothing
-    # else: depth-1 values come from the channel's pair table
+    # else: depth-2 values come from the channel's table of 4-output words
     calls = []
     combine = ScDecoder._combine
+    y = np.random.default_rng(10).integers(0, 2, 32)
+    dec = ScDecoder(bsc(0.1), y)  # after its tables are built
     monkeypatch.setattr(
         ScDecoder, "_combine", lambda self, d, i: calls.append(d) or combine(self, d, i)
     )
-    y = np.random.default_rng(10).integers(0, 2, 32)
-    dec = ScDecoder(bsc(0.1), y)
     dec.inject(np.zeros((1, 31), dtype=int), index=0)
     dec.decide()
     assert calls == [2, 3, 4, 5]
@@ -602,48 +603,144 @@ def test_decoder_holds_no_depth_one_node(q):
     assert np.array_equal(dec.decisions[:3], list_decode(ch, y[:3], every, 0))
 
 
+def _random_channel(rng, q, outputs):
+    t = rng.random((q, outputs)) ** 4
+    return DiscreteChannel(t / t.sum(axis=1, keepdims=True))
+
+
 @pytest.mark.parametrize("q", [2, 4, 8])
-def test_pair_table_tiles_equal_channel_tiles(q, monkeypatch):
-    # a budget of 0 sends every channel's depth-1 tiles through the channel
-    # likelihoods (in one-row tiles): decisions and every leaf's float bits
-    # equal those built from the pair tables; the row group's tiles end at
-    # its block boundary either way
+def test_depth_two_sources_decode_alike(q, monkeypatch):
+    # each depth-2 source in turn, by the tile budget: the tables of
+    # 4-output words (where every channel's fits), the pair tables in tiles
+    # (a budget that holds the largest pair table and no 4-output one) and
+    # the channel likelihoods in one-row tiles (a budget of 0).  Decisions
+    # and every leaf's float bits are equal; tiles end at block boundaries.
     m = q.bit_length() - 1
     rng = np.random.default_rng(40 + q)
     one = (product_power(bsc(0.2), m),)
     two = (product_power(bsc(0.11002), m), product_power(bec(0.5), m))
-    cases = [(one, 16, (1024,)), (one, 64, (1024,)), (two, 64, (700, 324))]
-    for channels, n, sizes in cases:
+    words = "words" if q < 8 else "pairs"  # no 4-output table on 8 outputs fits
+    cases = [(one, n, (1024,), words) for n in (8, 16, 64)]
+    if q == 2:
+        three = (bec(0.5), bsc(0.11002), _random_channel(rng, 2, 3))
+        cases.append((three, 64, (400, 300, 324), "words"))
+    if q == 4:
+        cases.append(((two[0], _random_channel(rng, 4, 3)), 64, (700, 324), "words"))
+    cases.append((two, 64, (700, 324), words if q == 2 else "pairs"))
+    for channels, n, sizes, first in cases:
         ys = [rng.integers(0, ch.output_size, (r, n)) for ch, r in zip(channels, sizes)]
         info = rng.random(n) < 0.6
         frozen = rng.integers(0, q, (sum(sizes), n))
+        pairs = max(q * (q + 1) * ch.output_size**2 for ch in channels)
 
-        def run():
-            dec, leaves = ScDecoder(channels, ys), []
+        def run(floats):
+            with monkeypatch.context() as patched:
+                patched.setattr(polar, "DECODER_FLOATS", floats)
+                dec, leaves = ScDecoder(channels, ys), []
             for i in range(n):
                 if info[i]:
                     dec.decide()
                     leaves.append(dec._like[-1][:, 0].copy())
                 else:
                     dec.inject(frozen[:, i], index=i)
-            ends = {t[0].stop for t in dec._tiles}
-            assert sizes[0] in ends and all(t[0].stop - t[0].start > 0 for t in dec._tiles)
-            return dec.decisions, np.stack(leaves).view(np.uint64), dec._tiles
+            ends = np.cumsum(sizes)
+            assert set(ends) <= {t[0].stop for t in dec._tiles}
+            assert all(t[0].stop > t[0].start for t in dec._tiles)
+            source = "channel" if dec._tiles[0][2] is None else "pairs"
+            source = "words" if dec._quads else source
+            assert all((t[2] is not None) == (source == "pairs") for t in dec._tiles)
+            return source, dec.decisions, np.stack(leaves).view(np.uint64)
 
-        tabled = run()
-        with monkeypatch.context() as patched:
-            patched.setattr(polar, "DECODER_FLOATS", 0)
-            computed = run()
-        assert all(t[2] is not None for t in tabled[2])
-        assert all(t[2] is None for t in computed[2])
-        assert np.array_equal(tabled[0], computed[0])
-        assert np.array_equal(tabled[1], computed[1])
+        runs = [run(polar.DECODER_FLOATS), run(16 * pairs), run(0)]
+        assert [r[0] for r in runs] == [first, "pairs", "channel"]
+        for source, decisions, leaves in runs[1:]:
+            assert np.array_equal(decisions, runs[0][1])
+            assert np.array_equal(leaves, runs[0][2])
+
+
+def test_equal_channels_share_their_tables(monkeypatch):
+    # a channel's tables are built by its first decoder and only read by
+    # every later one on an equal channel; the cache is bounded
+    polar._word_table.cache_clear()
+    assert polar._word_table.cache_info().maxsize is not None
+    rng = np.random.default_rng(42)
+    y = rng.integers(0, 3, (5, 32))
+    first = ScDecoder(bec(0.35), y)
+    assert polar._word_table.cache_info().misses == 2  # 4-output words, then pairs
+    inits = []
+    init = ScDecoder.__init__
+    monkeypatch.setattr(
+        ScDecoder, "__init__", lambda self, *a: inits.append(a) or init(self, *a)
+    )
+    second = ScDecoder(bec(0.35), y[::-1])  # an equal channel, a new object
+    assert len(inits) == 1
+    assert polar._word_table.cache_info().misses == 2
+    assert np.array_equal(first._table, second._table)
+    for _ in range(32):
+        assert np.array_equal(first.decide(), second.decide()[::-1])
+
+
+def test_one_input_channel_decides_zero():
+    # q = 1: every table has one plane, and every leaf decides 0
+    ch = DiscreteChannel([[0.25, 0.75]])
+    for n in (2, 4, 16):
+        dec = ScDecoder(ch, np.arange(3 * n).reshape(3, n) % 2)
+        for _ in range(n):
+            assert dec.decide().tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("rows", [1, 1026])
+def test_binary_leaf_ties_decide_zero(rows):
+    # BEC leaves tie where every output of a leaf's word is erased; one
+    # compare decides them 0, as argmax's first maximum does, and returns
+    # int64 symbols
+    rng = np.random.default_rng(43)
+    y = np.where(rng.random((rows, 64)) < 0.7, 2, rng.integers(0, 2, (rows, 64)))
+    for ch in (bec(0.5), (bec(0.5), bec(0.2))):
+        channels, ys = (ch, y) if isinstance(ch, DiscreteChannel) else (ch, (y, y))
+        dec, ties = ScDecoder(channels, ys), 0
+        for _ in range(64):
+            values = dec.decide()
+            leaf = dec._like[-1][:, 0]
+            assert values.dtype == np.int64
+            assert np.array_equal(values, leaf.argmax(axis=0))
+            ties += np.count_nonzero(leaf[0] == leaf[1])
+        assert ties > 0
+
+
+def test_symbols_must_be_integers():
+    # a value that is not integral is refused, where it was truncated;
+    # integral floats keep working
+    with pytest.raises(ValueError, match="integers"):
+        ScDecoder(bec(0.3), [[0.0, 1.9, 2.0, 0.4]])
+    y = [[0.0, 1.0, 2.0, 0.0]]
+    dec = ScDecoder(bec(0.3), y)
+    assert dec._received.dtype == np.uint8
+    info = InformationSet(4, (1, 3))
+    ints = list_decode(bec(0.3), [[0, 1, 2, 0]], info, 0)
+    assert np.array_equal(list_decode(bec(0.3), y, info, 0), ints)
+    with pytest.raises(ValueError, match="integers"):
+        list_decode(bec(0.3), [[0.0, 1.5, 2.0, 0.0]], info, 0)
+    with pytest.raises(ValueError, match="integers"):
+        list_decode(bec(0.3), [[0.0, 1.5, 2.0, 0.0]], info, 0, list_size=2)
+    with pytest.raises(ValueError, match="integers"):
+        list_decode(bec(0.3), y, info, [0, 0.5, 0, 0])
+    with pytest.raises(ValueError, match="integers"):
+        dec.inject(1.7)
+    with pytest.raises(ValueError, match="integers"):
+        dec.inject(np.nan)
+    assert dec.inject(1.0).tolist() == [1]
+    with pytest.raises(ValueError, match="integers"):
+        dec.amend([0.5], [True])
+    dec.amend([0.0], [True])
+    assert dec.decisions.tolist() == [[0]]
 
 
 @pytest.mark.parametrize("wide", [True, False], ids=["300-outputs", "bsc"])
 def test_pair_tables_and_channel_tiles_decode_as_exact(wide):
     # 2 x 3 x 300^2 table floats pass one tile's budget, so this channel's
-    # depth-1 tiles come from its likelihoods; a BSC's come from its table
+    # depth-1 tiles come from its likelihoods; a BSC's come from its pair
+    # table at n = 4, and its depth-2 nodes from its 4-output words after
     rng = np.random.default_rng(41)
     if wide:
         t = rng.random((2, 300)) ** 4
@@ -656,7 +753,9 @@ def test_pair_tables_and_channel_tiles_decode_as_exact(wide):
         info = InformationSet(n, tuple(np.flatnonzero(mask)))
         frozen = rng.integers(0, 2, (12, n))
         y = rng.integers(0, ch.output_size, (12, n))
-        assert (ScDecoder(ch, y)._tiles[0][2] is None) == (wide or n == 2)
+        dec = ScDecoder(ch, y)
+        assert dec._quads == (not wide and n >= 8)
+        assert (dec._tiles[0][2] is None) == (wide or n == 2 or dec._quads)
         got = list_decode(ch, y, info, frozen)
         assert np.array_equal(got, list_decode(ch, y, info, frozen, exact=True))
         decoded += len(info)
@@ -720,6 +819,9 @@ def test_xor_plane_select_equals_masked_copies(q, monkeypatch):
             leaves.append(dec._like[-1][:, 0].copy())
         return dec.decisions, np.stack(leaves).view(np.uint64)
 
+    # depth-2 nodes from the pair tables, as no table of 4-output words fits
+    fits = polar._table_fits
+    monkeypatch.setattr(polar, "_table_fits", lambda q, k, m: m < 4 and fits(q, k, m))
     shapes = []  # of the nodes that take the XOR path
     select = ScDecoder._xor_select
     monkeypatch.setattr(

@@ -263,6 +263,16 @@ def test_evaluate_worker_invariance():
     assert reports_to_csv(a) == reports_to_csv(b)
 
 
+@pytest.mark.parametrize("kwargs", [{"chunk": 0}, {"chunk": -3}, {"workers": 0}, {"workers": -1}])
+def test_evaluate_rejects_chunk_or_workers_below_one(kwargs):
+    # a chunk below 1 decoded nothing (or raised range()'s own error) and
+    # still reported every trial; the bound is checked before any decode
+    sch = DegradedScheme.build([bec(0.4), bec(0.6)], 16, rates=[0.55, 0.35])
+    with pytest.raises(ValueError, match="at least 1"):
+        evaluate(sch, trials=400, master_seed=0, **kwargs)
+    assert sum(r.errors for r in evaluate(sch, trials=400, master_seed=0, chunk=1)) > 0
+
+
 def test_evaluate_starts_one_pool_per_call(monkeypatch):
     import multiprocessing
 
