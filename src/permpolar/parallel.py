@@ -27,6 +27,7 @@ from .polar import (
     DECODER_FLOATS,
     InformationSet,
     _erasure_parameter,
+    _integers,
     _sc_walk,
     _walk_steps,
     ScDecoder,
@@ -87,18 +88,17 @@ def _check_capacity_order(channels) -> None:
             )
 
 
-def _completions(steps, family, pi, rows: int) -> dict:
-    """`_sc_walk`'s completions for permutation `pi`, by partial support
-    p: a table, table[j, v] completing symbol v at channel p[j] and 0
-    elsewhere, and the mask of the rows to amend, `rows` per channel off p."""
+def _completions(steps, family, pi) -> dict:
+    """`_sc_walk`'s completion tables for permutation `pi`, by partial
+    support p: table[j, v] completes symbol v at channel p[j] and 0
+    elsewhere."""
     s_count, q = len(pi), family.spec.q
     completions = {}
     for _, _, p in steps:
         if p is not None and len(p) < s_count and p not in completions:
             units = np.arange(q)[:, None] * np.eye(len(p), dtype=np.int64)[:, None]
             table = family.code(len(p)).complete_batch(pi[list(p)], units)
-            off = np.repeat([s not in p for s in range(s_count)], rows)
-            completions[p] = table[:, :, pi], off
+            completions[p] = table[:, :, pi]
     return completions
 
 
@@ -150,11 +150,15 @@ class _Scheme:
         per = len(blocks[0]) // batch  # decoder rows per message and channel
         floats = sum(map(len, blocks)) * channels[0].input_size * self.n
         step = -(-batch // -(-floats // DECODER_FLOATS))  # ceilings
-        order = np.array(pi)
+        completions = _completions(self._steps, self.family, np.array(pi))
         out = np.zeros((self.S, batch, self.n), dtype=self._symbol_type)  # by channel
         for a in range(0, batch, step):
             dec = ScDecoder(channels, [rows[a * per : (a + step) * per] for rows in blocks])
-            tables = _completions(self._steps, self.family, order, dec.batch // self.S)
+            count = dec.batch // self.S  # rows per channel
+            tables = {  # a completion amends the rows of the channels off its support
+                p: (table, np.repeat([s not in p for s in range(self.S)], count))
+                for p, table in completions.items()
+            }
             part = out[:, a : a + step]
             _sc_walk(dec, self._steps, self._frozen, part, tables, self._symbols, self._lanes)
             del dec
@@ -519,7 +523,7 @@ class NonBinaryScheme(CoupledScheme):
         """Group m consecutive binary-channel outputs into product-channel
         output indices (first use most significant), of the narrowest
         unsigned type that holds them."""
-        y_bits = np.asarray(y_bits)
+        y_bits = _integers(y_bits)
         base = self.channels[channel_index].output_size
         if (y_bits.dtype.kind != "u" and np.any(y_bits < 0)) or np.any(y_bits >= base):
             raise ValueError("received symbol out of the output alphabet")

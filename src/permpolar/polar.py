@@ -20,6 +20,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -365,6 +366,10 @@ def monotone_info_sets(
 # of every walk slice; a decoder holds about half that, at depths 2 and up.
 DECODER_FLOATS = 1 << 21
 
+# A channel group whose node likelihoods take more distinct values than this
+# keeps them as floats; fewer are held as uint8 classes (`_likelihood_classes`).
+_CLASS_CAP = 64
+
 # Right children of at least this many symbols (size x rows) select planes by
 # masked XOR: it takes more numpy calls, which timed slower on smaller nodes.
 _XOR_SELECT_MIN = 4096
@@ -411,12 +416,79 @@ def _word_table(channel: DiscreteChannel, m: int, exact: bool) -> np.ndarray:
     leaves = []
     for t in range(m):
         dec.decide()
-        leaves.append(dec._like[-1][:, 0].reshape(q, q**t, -1, k**m)[:, :, 0].copy())
+        leaves.append(dec._leaf().reshape(q, q**t, -1, k**m)[:, :, 0].copy())
         if t < m - 1:
             dec.amend(prefixes[t], np.ones(dec.batch, dtype=bool))
     table = np.concatenate(leaves, axis=1)
     table.flags.writeable = False
     return table
+
+
+def _word_columns(channels) -> np.ndarray:
+    """(q, columns): every channel's table of 4-output words, word-major
+    (column word * ranks + prefix rank), one channel after another."""
+    tables = [_word_table(ch, 4, False) for ch in channels]
+    return np.concatenate([t.transpose(0, 2, 1).reshape(len(t), -1) for t in tables], axis=1)
+
+
+class _Classes(NamedTuple):
+    """A channel group's node likelihoods as K classes: the (1, columns)
+    classes of `_word_columns`, a left child's class at code f K + s and a
+    right child's at (f K + s) q + left, from its halves' classes f and s,
+    each class's symbol (a tie decides the smallest) and its (q, K) floats."""
+
+    columns: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    decision: np.ndarray
+    floats: np.ndarray
+    count: np.intp
+
+
+@functools.lru_cache(maxsize=16)
+def _likelihood_classes(channels: tuple) -> _Classes | None:
+    """Every normalised likelihood that a node of a decoder on this
+    channel group can hold, as classes; None past _CLASS_CAP of them.
+
+    A child's likelihoods at a position depend only on its halves' values
+    there (and, in a right child, on one left symbol), so the float bit
+    patterns of the depth-2 table's columns, closed under `_node` and
+    `_normalise`, are all that any deeper node holds.  The children are
+    computed on (q, K^2, 1) and (q, K^2, q) buffers, whose planes sum one
+    after another as a node's do; for q > 4 a one-row leaf's planes sum
+    pairwise, so those groups keep their floats.
+    """
+    q = channels[0].input_size
+    if q > 4:
+        return None
+    columns = _word_columns(channels)
+    probe = ScDecoder(channels[0], np.zeros(2, np.uint8))  # lends its _node
+    found, count = columns.T.view(np.uint64), 0
+    while True:
+        bits, inverse = np.unique(found, axis=0, return_inverse=True)
+        if len(bits) == count:  # no new class: closed
+            break
+        count = len(bits)
+        if count > _CLASS_CAP:
+            return None
+        floats = bits.view(np.float64).T
+        f, s, c = np.indices((count, count, q), np.uint8).reshape(3, count * count, q)
+        left, right = np.empty((q, count * count, 1)), np.empty((q, count * count, q))
+        probe._scratch = np.empty(right.size)
+        probe._node(left, floats[:, f[:, :1]], floats[:, s[:, :1]], None)
+        probe._node(right, floats[:, f], floats[:, s], c)
+        _normalise(left)
+        _normalise(right)
+        found = np.concatenate([columns, left.reshape(q, -1), right.reshape(q, -1)], axis=1)
+        found = found.T.view(np.uint64)
+    codes, cut = inverse.reshape(-1).astype(np.uint8), columns.shape[1]
+    classes = _Classes(
+        codes[None, :cut], codes[cut : cut + count**2], codes[cut + count**2 :],
+        floats.argmax(axis=0).astype(np.uint8), floats, np.intp(count),
+    )
+    for table in classes[:-1]:
+        table.flags.writeable = False
+    return classes
 
 
 class ScDecoder:
@@ -454,6 +526,15 @@ class ScDecoder:
     decided index shares, a right child from its parent and its re-encoded
     left sibling, and decides a binary leaf by one compare.  Work is
     O(n log n) per word.
+
+    Where a group takes the tables of 4-output words and its normalised
+    likelihoods take at most _CLASS_CAP values, closed under a node's
+    combines (`_likelihood_classes`: erasure channels take four), each node
+    holds one uint8 class per position, a (1, n >> d, rows) buffer.  A child
+    is then one take from a table of its halves' classes (and a right
+    child's left symbol), and a leaf decides by one take from its classes'
+    symbols, with the same decisions and leaf floats as the float path.  A
+    group's first decoder builds its classes; other groups keep floats.
 
     With `exact=True` all arithmetic runs on rationals, without the tables
     of 4-output words, so likelihood ties are broken exactly (ties resolve
@@ -496,6 +577,8 @@ class ScDecoder:
         self._quads = not exact and n >= 8 and all(
             _table_fits(q, ch.output_size, 4) for ch in channels
         )
+        # where the group's likelihoods form few classes, a node holds classes
+        self._classes = _likelihood_classes(channels) if self._quads else None
         tile = max(1, (DECODER_FLOATS >> 4) // (q * n))
         self._tiles = []  # (rows, transitions, pair table or None): within one block
         for ch, y, end in zip(channels, blocks, ends):
@@ -518,14 +601,16 @@ class ScDecoder:
         self._coded = np.empty((g if self._quads else 3 * g, batch), np.min_scalar_type(q - 1))
         self._encoded = 0
         first = min(2, self._depth)  # the shallowest depth held
+        # q planes of likelihoods per node, or one plane of their classes
+        planes, like = (q, dtype) if self._classes is None else (1, np.uint8)
         self._like = [None] * first + [
-            np.empty((q, n >> d, batch), dtype=dtype) for d in range(first, self._depth + 1)
+            np.empty((planes, n >> d, batch), dtype=like) for d in range(first, self._depth + 1)
         ]
         if not self._depth:  # a one-symbol word decides on its channel likelihoods
             for rows, w, _ in self._tiles:
                 self._like[0][:, :, rows] = self._channel(rows, w, 0, 1)
         # the minus step's products: the largest node not tiled, or one
-        # depth-1 tile computed from its channel; a depth-2 gather's codes
+        # depth-1 tile computed from its channel; a gather's codes
         self._scratch = np.empty(q * max((n >> 3) * batch, (n >> 1) * min(tile, batch)), dtype)
         self._decided = np.zeros((n, batch), dtype=np.min_scalar_type(q - 1))
         # a binary leaf's compare writes bools into its row, with no cast
@@ -534,11 +619,11 @@ class ScDecoder:
         self._last = None  # the last decided index, whose path is held
 
     def _words_from(self, channels, ends) -> None:
-        """One table of every channel's 4-output words, word-major, and
-        each row's column of its word at prefix rank 0 in it."""
-        g, tables = self.n >> 2, [_word_table(ch, 4, False) for ch in channels]
-        ranks = tables[0].shape[1]
-        self._table = np.concatenate([t.transpose(0, 2, 1).reshape(self.q, -1) for t in tables], 1)
+        """The depth-2 table of every channel's 4-output words
+        (`_word_columns`, or their classes), and each row's column of its
+        word at prefix rank 0 in it."""
+        g, ranks = self.n >> 2, sum(self.q**t for t in range(4))
+        self._table = _word_columns(channels) if self._classes is None else self._classes.columns
         self._words = np.zeros((g, self.batch), np.min_scalar_type(self._table.shape[1] - 1))
         self._prefix = np.zeros((g, self.batch), np.min_scalar_type(ranks - 1))
         base = 0  # the block's first column
@@ -605,6 +690,9 @@ class ScDecoder:
                 if size > 1:  # a single symbol is its own transform
                     left = _butterflies(left.copy(), axis=0)
             parent = self._like[d - 1]
+            if self._classes is not None:
+                self._gather(out, parent[:, :size], parent[:, size:], left)
+                return
             self._node(out, parent[:, :size], parent[:, size:], left)
             _normalise(out)
             return
@@ -614,10 +702,10 @@ class ScDecoder:
         else:
             t = i >> (self._depth - 2)  # the node's rank
             self._reencode(t)
-            if self._quads:  # normalised in the table
+            if self._quads:  # normalised in the table, or classes
                 codes = self._scratch[: out[0].size].view(np.intp).reshape(out.shape[1:])
                 np.add(self._words, self._prefix, out=codes)
-                np.take(self._table, codes, axis=1, out=out, mode="clip")
+                self._table.take(codes, axis=1, out=out, mode="clip")
                 return
             up = self._coded[: 2 * size] if t & 2 else None
             left = self._coded[(t - 1) * size : t * size] if t & 1 else None
@@ -652,6 +740,19 @@ class ScDecoder:
                 np.multiply(g[self._flips[c]], s[c], out=product)
                 o += product
 
+    def _gather(self, out, f, s, left) -> None:
+        """The classes of the left child of halves f, s, or of the right
+        one given `left`, by one take at their codes."""
+        codes = self._scratch[: out.size].view(np.intp).reshape(out.shape)
+        np.multiply(f, self._classes.count, out=codes)
+        codes += s
+        table = self._classes.left
+        if left is not None:
+            codes *= self.q
+            codes += left
+            table = self._classes.right
+        table.take(codes, out=out, mode="clip")
+
     def _xor_select(self, out, f, left) -> None:
         """out[x] = f[x ^ left] on the float bit patterns, one bit of `left`
         per level: the masked XOR of each plane pair swaps it where the bit
@@ -680,10 +781,18 @@ class ScDecoder:
             self._combine(d, i)
         leaf = self._like[depth][:, 0]
         self._i, self._last = i + 1, i
+        if self._classes is not None:
+            symbols = self._classes.decision.take(leaf[0], out=self._decided[i], mode="clip")
+            return symbols.astype(np.int64)
         if self.q == 2:  # a tie decides 0, as argmax's first maximum does
             return np.greater(leaf[1], leaf[0], out=self._flags[i]).astype(np.int64)
         self._decided[i] = values = leaf.argmax(axis=0)
         return values
+
+    def _leaf(self) -> np.ndarray:
+        """The (q, rows) likelihoods of the leaf decided last."""
+        leaf = self._like[self._depth][:, 0]
+        return leaf if self._classes is None else self._classes.floats[:, leaf[0]]
 
     def inject(self, values, index: int | None = None) -> np.ndarray:
         """Supply the current index's symbols, one or one per row.  A 2-D
@@ -762,7 +871,9 @@ def _sc_walk(dec, steps, frozen, out, completions=(), symbols=None, lanes=None):
     decisions through table[j][v] (symbol v at channel support[j])
     overwrites (`amend`) the rows that `off` marks.  `symbols` and
     `lanes` convert decoder values to field symbols and back where a row
-    is a bit plane.
+    is a bit plane, whose symbols are written index by index; otherwise
+    the decoder's symbols, injected, decided and amended, fill `out` once
+    at the end.
     """
     s_count = len(out)
     for k, count, support in steps:
@@ -779,7 +890,10 @@ def _sc_walk(dec, steps, frozen, out, completions=(), symbols=None, lanes=None):
             decided = full.T
             values = decided.reshape(-1)
             dec.amend(values if lanes is None else lanes(values), off)
-        out[:, :, k] = decided
+        if symbols is not None:
+            out[:, :, k] = decided
+    if symbols is None:
+        out[...] = dec._decided.T.reshape(out.shape)
 
 
 def list_decode(

@@ -706,18 +706,19 @@ def test_decode_rejects_an_empty_batch(cls):
         sch.decode(np.zeros((2, 0, sch.uses_per_channel), dtype=int), (1, 0))
 
 
-@pytest.mark.parametrize("first, second", [(0, 3), (1, -1)])
+@pytest.mark.parametrize("first, second", [(0, 3), (1, -1), (1, 1.5)])
 def test_nonbinary_decode_rejects_outputs_outside_a_channels_alphabet(first, second):
-    # either pair packs into a valid GF(4) product symbol (3 and 1), so
-    # only a check per binary use can catch it
+    # each pair packs into a valid GF(4) product symbol (3, 1 and, 1.5
+    # truncated, 3), so only a check per binary use can catch it; the
+    # integral floats around it pass
     sch = NonBinaryScheme.build([bsc(0.1), bsc(0.2)], 8, m=2, rates=[0.5, 0.5])
-    y = sch.encode(np.zeros(sch.info_bit_count, dtype=int)).astype(np.int64)
+    y = sch.encode(np.zeros(sch.info_bit_count, dtype=int)).astype(np.float64)
     y[1, 2:4] = first, second  # channel 1's second pair: its second use is bad
-    with pytest.raises(ValueError, match="output alphabet"):
+    with pytest.raises(ValueError, match="output alphabet" if second % 1 == 0 else "integers"):
         sch.decode(list(y), (0, 1))
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64])
 def test_pack_received_returns_narrow_product_outputs(dtype):
     sch = NonBinaryScheme.build([bsc(0.11002), bec(0.5)], 16, m=2, rates=[0.25, 0.25])
     msgs = np.random.default_rng(19).integers(0, 2, (5, sch.info_bit_count))

@@ -561,13 +561,13 @@ def test_row_grouped_decoder_equals_per_channel_decoders(q, exact, monkeypatch):
         values = rng.integers(0, q, 8)
         rows = np.arange(8) >= 5 if kinds[i] == 2 else rng.random(8) < 0.5
         grouped.decide()
-        leaf = grouped._like[-1][:, 0]
+        leaf = grouped._leaf()
         for dec, part in zip(singles, (slice(0, 5), slice(5, 8))):
             if kinds[i] == 2 and part.start == 5:
                 dec.inject(values[part], index=i)
                 continue
             dec.decide()
-            assert np.array_equal(leaf[:, part], dec._like[-1][:, 0])
+            assert np.array_equal(leaf[:, part], dec._leaf())
             if kinds[i] == 3:
                 dec.amend(values[part], rows[part])
         if kinds[i] >= 2:
@@ -659,14 +659,18 @@ def test_depth_two_sources_decode_alike(q, monkeypatch):
 
 
 def test_equal_channels_share_their_tables(monkeypatch):
-    # a channel's tables are built by its first decoder and only read by
-    # every later one on an equal channel; the cache is bounded
+    # a channel's tables, and its likelihood classes, are built by its first
+    # decoder and only read by every later one on an equal channel; the
+    # caches are bounded
     polar._word_table.cache_clear()
+    polar._likelihood_classes.cache_clear()
     assert polar._word_table.cache_info().maxsize is not None
+    assert polar._likelihood_classes.cache_info().maxsize is not None
     rng = np.random.default_rng(42)
     y = rng.integers(0, 3, (5, 32))
     first = ScDecoder(bec(0.35), y)
     assert polar._word_table.cache_info().misses == 2  # 4-output words, then pairs
+    assert polar._likelihood_classes.cache_info().misses == 1
     inits = []
     init = ScDecoder.__init__
     monkeypatch.setattr(
@@ -675,6 +679,8 @@ def test_equal_channels_share_their_tables(monkeypatch):
     second = ScDecoder(bec(0.35), y[::-1])  # an equal channel, a new object
     assert len(inits) == 1
     assert polar._word_table.cache_info().misses == 2
+    assert polar._likelihood_classes.cache_info().misses == 1
+    assert second._classes is first._classes is not None
     assert np.array_equal(first._table, second._table)
     for _ in range(32):
         assert np.array_equal(first.decide(), second.decide()[::-1])
@@ -701,11 +707,64 @@ def test_binary_leaf_ties_decide_zero(rows):
         dec, ties = ScDecoder(channels, ys), 0
         for _ in range(64):
             values = dec.decide()
-            leaf = dec._like[-1][:, 0]
+            leaf = dec._leaf()
             assert values.dtype == np.int64
             assert np.array_equal(values, leaf.argmax(axis=0))
             ties += np.count_nonzero(leaf[0] == leaf[1])
         assert ties > 0
+
+
+def _high_bit_or_erasure(eps):
+    """The q = 4 channel that shows an input's high bit (outputs 0 and 1)
+    or, with probability eps, erases it (output 2)."""
+    t = np.zeros((4, 3))
+    t[:, 2] = eps
+    t[np.arange(4), np.arange(4) >> 1] = 1 - eps
+    return DiscreteChannel(t)
+
+
+@pytest.mark.parametrize("rows", [1, 1026])
+def test_likelihood_classes_decode_as_floats(rows, monkeypatch):
+    # erasure-type groups hold their nodes as classes; with the classes
+    # refused, the same decoders keep floats.  Decisions and every leaf's
+    # float bits are equal, with injections and amends; random injected
+    # symbols contradict the received ones, which reaches the class of
+    # all-zero likelihoods.  A group with a BSC keeps its floats.
+    rng = np.random.default_rng(44)
+    groups = [(bec(0.4),), (bec(0.2), bec(0.5)), (bec(0.1), bec(0.3), bec(0.5))]
+    groups.append((_high_bit_or_erasure(0.4),))
+    zeros = 0
+    for channels, n in itertools.product(groups, (8, 16, 64)):
+        q = channels[0].input_size
+        sizes = [max(1, rows // len(channels))] * len(channels)
+        ys = [rng.integers(0, ch.output_size, (r, n)) for ch, r in zip(channels, sizes)]
+        kinds = rng.choice(3, n, p=[0.3, 0.4, 0.3])  # 0: inject, 1: decide, 2: and amend
+        values = rng.integers(0, q, (n, sum(sizes)))
+        amended = rng.random((n, sum(sizes))) < 0.5
+
+        def run():
+            dec, leaves = ScDecoder(channels, ys), []
+            for i in range(n):
+                if kinds[i] == 0:
+                    dec.inject(values[i], index=i)
+                    continue
+                dec.decide()
+                leaves.append(dec._leaf().copy())
+                if kinds[i] == 2:
+                    dec.amend(values[i], amended[i])
+            return dec, dec.decisions, np.stack(leaves).view(np.uint64)
+
+        classed = run()
+        with monkeypatch.context() as patched:
+            patched.setattr(polar, "_likelihood_classes", lambda channels: None)
+            floats = run()
+        assert classed[0]._classes is not None and floats[0]._classes is None
+        assert np.array_equal(classed[1], floats[1])
+        assert np.array_equal(classed[2], floats[2])
+        zeros += np.count_nonzero((classed[2] == 0).all(axis=1))
+    assert zeros
+    y = rng.integers(0, 2, (rows, 16))
+    assert ScDecoder((bsc(0.11002), bec(0.5)), (y, y))._classes is None
 
 
 def test_symbols_must_be_integers():
