@@ -188,8 +188,9 @@ class DegradedScheme(_Scheme):
     of layer j channels 0..j decide and completion amends the rest.  Each
     row sees its stage decoder's operations, so decisions are unchanged.
     Stages run one after another where a symbol spans m > 1 indices, and
-    where a larger list size runs list decoding with that many paths on
-    each stage and keeps the most likely path.
+    where a larger list size L runs list decoding on each stage
+    (`list_decode`: L paths per word as rows of one `ScDecoder`) and keeps
+    the most likely path.
     """
 
     kind = "degraded"
@@ -422,6 +423,8 @@ class CoupledScheme(_Scheme):
         channels = list(channels)
         if (rates is None) == (threshold is None):
             raise ValueError("specify exactly one of rates and threshold")
+        if rates is not None and len(rates) != len(channels):
+            raise ValueError("one rate per channel required")
         sets = [
             cls._info_set(ch, n, m, None if rates is None else rates[s], threshold)
             for s, ch in enumerate(channels)
@@ -537,6 +540,7 @@ class NonBinaryScheme(CoupledScheme):
         return out
 
     def _decoder_input(self, y: np.ndarray):
+        # ScDecoder checks the packed outputs again, and keeps that check: it is public
         return self.super_channels, [self.pack_received(y[s], s) for s in range(self.S)]
 
 

@@ -268,9 +268,12 @@ def _set_size(z, rate, threshold) -> int:
 def select_info_set(z, rate=None, threshold=None) -> InformationSet:
     """The indices with the smallest of the n reliability figures `z`.
 
-    With `threshold`, every index whose figure is <= threshold; otherwise
+    Exactly one of `rate` and `threshold` must be given.  With
+    `threshold`, every index whose figure is <= threshold; with `rate`,
     the floor(n * rate) smallest, ties going to the lower index.
     """
+    if (rate is None) == (threshold is None):
+        raise ValueError("specify exactly one of rate and threshold")
     size = _set_size(z, rate, threshold)
     order = np.argsort(z, kind="stable")
     return InformationSet(len(z), tuple(sorted(int(i) for i in order[:size])))
@@ -288,8 +291,6 @@ def build_info_set(
     Exactly one of `rate` (target |A| = floor(n * rate)) and `threshold`
     (keep every index with figure <= threshold) must be given.
     """
-    if (rate is None) == (threshold is None):
-        raise ValueError("specify exactly one of rate and threshold")
     return select_info_set(_construction_values(ch, n, method), rate, threshold)
 
 
@@ -617,6 +618,7 @@ class ScDecoder:
         self._flags = self._decided.view(np.bool_) if q == 2 else None
         self._i = 0
         self._last = None  # the last decided index, whose path is held
+        self._stale = False  # rows moved (`_copy_rows`) since depth 2 was built
 
     def _words_from(self, channels, ends) -> None:
         """The depth-2 table of every channel's 4-output words
@@ -775,12 +777,9 @@ class ScDecoder:
         i = self._i
         if i >= self.n:
             raise RuntimeError("decoder already finished")
-        depth = self._depth
-        shared = 0 if self._last is None else depth - (i ^ self._last).bit_length()
-        for d in range(max(shared + 1, min(2, depth)), depth + 1):
-            self._combine(d, i)
-        leaf = self._like[depth][:, 0]
-        self._i, self._last = i + 1, i
+        self._descend(i, self._depth)
+        leaf = self._like[self._depth][:, 0]
+        self._i = i + 1
         if self._classes is not None:
             symbols = self._classes.decision.take(leaf[0], out=self._decided[i], mode="clip")
             return symbols.astype(np.int64)
@@ -789,10 +788,36 @@ class ScDecoder:
         self._decided[i] = values = leaf.argmax(axis=0)
         return values
 
+    def _descend(self, i: int, bottom: int) -> None:
+        """Compute the nodes on the path to index i down to depth `bottom`,
+        below the deepest one that the path held last shares with it."""
+        depth = self._depth
+        shared = 0 if self._last is None else depth - (i ^ self._last).bit_length()
+        if self._stale and shared <= 2:  # rows moved since depth 2 was built
+            shared, self._stale = min(shared, 1), False
+        for d in range(max(shared + 1, min(2, depth)), bottom + 1):
+            self._combine(d, i)
+        self._last = i
+
     def _leaf(self) -> np.ndarray:
         """The (q, rows) likelihoods of the leaf decided last."""
         leaf = self._like[self._depth][:, 0]
         return leaf if self._classes is None else self._classes.floats[:, leaf[0]]
+
+    def _copy_rows(self, dst, src) -> None:
+        """Copy into rows `dst` what later steps read of rows `src`: the
+        nodes of depth 3 and more that hold the last fixed index in their
+        left half, the symbols fixed so far and the re-encoded depth-2
+        subtrees.  The depth-2 node, the largest, is rebuilt from the
+        latter instead, at its next read."""
+        i, depth = self._i - 1, self._depth
+        for d in range(3, depth):
+            if not i >> (depth - 1 - d) & 1:
+                self._like[d][..., dst] = self._like[d][..., src]
+        self._stale |= depth > 2 and not i >> (depth - 3) & 1
+        self._decided[: i + 1, dst] = self._decided[: i + 1, src]
+        held = self._prefix if self._quads else self._coded
+        held[:, dst] = held[:, src]
 
     def inject(self, values, index: int | None = None) -> np.ndarray:
         """Supply the current index's symbols, one or one per row.  A 2-D
@@ -896,6 +921,56 @@ def _sc_walk(dec, steps, frozen, out, completions=(), symbols=None, lanes=None):
         out[...] = dec._decided.T.reshape(out.shape)
 
 
+def _list_walk(dec, steps, frozen, size: int) -> np.ndarray:
+    """Successive cancellation list decoding (Tal & Vardy, IEEE Trans. IT
+    2015) of `steps` on `dec`, whose row w size + l holds path l of word w
+    of `frozen` (words, n); returns each word's most likely path.
+
+    A path's metric is -log P(u | y) of its symbols so far, exactly: a
+    normalised leaf is the posterior of its index given the path.  At an
+    information index each path's q children are ranked by metric, ties
+    going to the lower path and then to the lower symbol, and the best
+    `size` survive.  They take the word's rows in (path, symbol) order,
+    and a row whose survivor grew from another row is copied from it
+    unless the survivor is dead (metric inf).  A frozen run goes in
+    aligned blocks of at most n / 4 indices, each a node whose re-encoded
+    frozen symbols x add sum_j -log P(x_j) by the chain rule.
+    """
+    q, rows = dec.q, dec.batch
+    fixed = np.repeat(frozen.T.astype(dec._decided.dtype), size, axis=1)  # (n, rows)
+    metric = np.where(np.arange(rows) % size, np.inf, 0.0)  # one live path per word
+    own, first = np.arange(rows), np.arange(0, rows * q, size * q)[:, None]
+    top, classes = max(1, dec.n >> 2), dec._classes
+    with np.errstate(divide="ignore"):
+        for k, count, support in steps:
+            while support is None and count:  # the largest aligned block that fits
+                s = min(k & -k or top, top, 1 << (count.bit_length() - 1))
+                d = dec._depth - s.bit_length() + 1
+                dec._descend(k, d)
+                x, node = _butterflies(fixed[k : k + s].copy(), axis=0), dec._like[d]
+                if classes is None:
+                    p = np.take_along_axis(node, x[None], 0)[0]
+                else:
+                    p = classes.floats[x, node[0]]
+                metric -= np.log(p).sum(axis=0)
+                dec.inject(fixed[k : k + s].T, index=k)
+                k, count = k + s, count - s
+            if support is None:
+                continue
+            dec.decide()
+            cand = metric[:, None] - np.log(dec._leaf().T)  # (rows, q)
+            pick = np.argsort(cand.reshape(-1, size * q), axis=1, kind="stable")[:, :size]
+            pick.sort(axis=1)
+            src, symbol = np.divmod((pick + first).reshape(-1), q)
+            metric = cand[src, symbol]
+            moved = np.flatnonzero((src != own) & (metric < np.inf))
+            if len(moved):
+                dec._copy_rows(moved, src[moved])
+            dec._decided[k] = symbol
+    best = np.arange(0, rows, size) + metric.reshape(-1, size).argmin(axis=1)
+    return dec._decided[:, best].T.astype(np.int64)
+
+
 def list_decode(
     channel: DiscreteChannel,
     received,
@@ -913,10 +988,12 @@ def list_decode(
 
     `list_size=1` is successive cancellation through `ScDecoder`, with its
     decisions and tie rule, on rationals with `exact=True`; each run of
-    frozen indices is injected as one block.  A larger list size runs
-    successive cancellation list decoding (Tal & Vardy, IEEE Trans. IT
-    2015) on a binary-input channel and returns the most likely surviving
-    path; it has no exact mode.
+    frozen indices is injected as one block.  A larger list size L runs
+    successive cancellation list decoding on one `ScDecoder` whose rows
+    are L paths per word (`_list_walk`), at any input size that it
+    serves: path metrics are exact -log P(u | y), ties go to the lower
+    path and then to the lower symbol, and the most likely surviving path
+    is returned.  It has no CRC and no exact mode.
     """
     received = np.atleast_2d(_integers(received))
     batch, n = received.shape
@@ -926,184 +1003,17 @@ def list_decode(
     frozen = np.broadcast_to(_integers(frozen).astype(np.int64, copy=False), (batch, n))
     if int(list_size) != list_size or list_size < 1:
         raise ValueError(f"list size must be an integer >= 1, got {list_size!r}")
+    steps = _walk_steps([info_set])
     if list_size == 1:
         out = frozen[None].copy()  # decisions overwrite the information set
-        _sc_walk(ScDecoder(channel, received, exact), _walk_steps([info_set]), frozen, out)
+        _sc_walk(ScDecoder(channel, received, exact), steps, frozen, out)
         return out[0]
     if exact:
         raise ValueError("exact arithmetic needs list size 1")
-    if channel.input_size != 2:
-        raise ValueError("list decoding expects a binary-input channel")
-    if np.any(received < 0) or np.any(received >= channel.output_size):
-        raise ValueError("received symbol out of the output alphabet")
-    if np.any((frozen != 0) & (frozen != 1)):
-        raise ValueError("frozen symbols must be 0 or 1")
-    return _ListDecoder(channel, received, info_set, frozen, list_size).run()
-
-
-# An infinite LLR is held as this finite value so that sums of opposite
-# certainties stay numbers; any real LLR sum is far below it.
-_LLR_CAP = 1e30
-
-
-# exp() leaves its fast path where its result underflows; no argument
-# below this one changes a sum that the result enters.
-_EXP_FLOOR = -700.0
-
-
-def _exp_neg(x: np.ndarray, out=None) -> np.ndarray:
-    """exp(-x), for x >= 0, floored at exp(_EXP_FLOOR)."""
-    out = np.negative(x, out=out)
-    np.maximum(out, _EXP_FLOOR, out=out)
-    return np.exp(out, out=out)
-
-
-def _softplus_neg(x: np.ndarray) -> np.ndarray:
-    """log(1 + exp(-x)), for x >= 0."""
-    e = _exp_neg(x)
-    return np.log1p(e, out=e)
-
-
-def _llr_minus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact LLR of the first kernel input, 2 atanh(tanh(a/2) tanh(b/2)).
-
-    With m = min(|a|, |b|), w = exp(-||a| - |b||) and v = exp(-2m) it is
-    sign(ab) (m + log1p(w (v - 1) / (1 + w))), which stays exact for
-    arbitrarily large magnitudes.
-    """
-    s = np.abs(a)
-    t = np.abs(b)
-    m = np.minimum(s, t)
-    w = s
-    w -= t
-    np.abs(w, out=w)
-    _exp_neg(w, out=w)
-    v = np.multiply(m, 2.0, out=t)
-    _exp_neg(v, out=v)
-    v -= 1.0
-    v *= w
-    w += 1.0
-    v /= w
-    np.log1p(v, out=v)
-    m += v
-    np.multiply(a, b, out=v)
-    return np.copysign(m, v, out=m)
-
-
-class _ListDecoder:
-    """Successive cancellation list decoding over (word, path) rows.
-
-    Row b*L + l holds path l of word b.  Each tree depth keeps the LLRs of
-    its current node and the left-child bits that node holds until its
-    right child is done; both are read through per-depth row maps, so a
-    path copy at an information index only reindexes the maps.  Work per
-    word is O(L n log n).
-
-    Two kinds of node are decided in one step.  By the chain rule the
-    penalties that successive cancellation adds leaf by leaf inside a node
-    with input LLRs a sum to sum_j -log P(x_j | a_j), x being the node's
-    re-encoded bits.  A node without information indices therefore adds
-    that sum to each path metric, and a node whose only information index
-    is its last leaf (a repetition node, the single leaf included) ranks
-    both values of that leaf by it.  Candidates are ranked by metric, ties
-    going to the lower path and then to bit 0.
-    """
-
-    def __init__(self, channel, received, info_set, frozen, list_size):
-        self.batch, self.n = received.shape
-        self.L = list_size
-        self.rows = self.batch * list_size
-        self.depth = self.n.bit_length() - 1
-        is_info = np.zeros(self.n, dtype=bool)
-        is_info[list(info_set.indices)] = True
-        self.info_before = [0] + np.cumsum(is_info).tolist()
-        # coded[d]: the frozen values, 0 on the information set, re-encoded
-        # within every depth-d node; a node's bits are [left ^ right, right]
-        coded = np.where(is_info, 0, frozen).astype(np.int8)
-        self.coded = [coded]
-        for half in (1 << i for i in range(self.depth)):
-            pairs = coded.reshape(self.batch, -1, 2, half)
-            coded = np.concatenate(
-                [pairs[:, :, :1] ^ pairs[:, :, 1:], pairs[:, :, 1:]], axis=2
-            ).reshape(self.batch, self.n)
-            self.coded.insert(0, coded)
-        w = channel.transitions
-        with np.errstate(divide="ignore", invalid="ignore"):
-            llr = np.log(w[0]) - np.log(w[1])
-        llr = np.nan_to_num(llr, nan=0.0, posinf=_LLR_CAP, neginf=-_LLR_CAP)
-        self.llr = [llr[received]] + [None] * self.depth
-        self.held = [None] * self.depth
-        # rows 0..depth map the LLRs, rows depth+1.. the held bits
-        self.maps = np.empty((2 * self.depth + 1, self.rows), dtype=np.intp)
-        self.maps[0] = np.arange(self.rows) // self.L
-        self.identity = np.arange(self.rows)
-        self.offsets = np.arange(0, 2 * self.rows, 2 * self.L)[:, None]
-        # path copies so far, and their count when each map was reset
-        self.copies = 0
-        self.stamp = [-1] * (2 * self.depth + 1)
-        self.metric = np.full(self.rows, np.inf)
-        self.metric[:: self.L] = 0.0
-
-    def run(self) -> np.ndarray:
-        x = self._node(0, 0).reshape(self.batch, self.L, self.n)
-        best = np.argmin(self.metric.reshape(self.batch, self.L), axis=1)
-        return polar_encode(x[np.arange(self.batch), best]).astype(np.int64)
-
-    def _read(self, store, slot: int) -> np.ndarray:
-        if self.stamp[slot] == self.copies:
-            return store
-        return store[self.maps[slot]]
-
-    def _write(self, slot: int) -> None:
-        self.maps[slot] = self.identity
-        self.stamp[slot] = self.copies
-
-    def _node(self, d: int, start: int) -> np.ndarray:
-        """Decode the depth-d node over leaves [start, start + size) and
-        return its re-encoded bits, one row per path."""
-        size = self.n >> d
-        stop = start + size
-        alpha = self._read(self.llr[d], d)
-        info = self.info_before[stop] - self.info_before[start]
-        last_only = info == 1 and self.info_before[stop - 1] == self.info_before[start]
-        if info == 0 or last_only:
-            x = np.repeat(self.coded[d][:, start:stop], self.L, axis=0)
-            mag = np.abs(alpha)
-            wrong = (alpha < 0) ^ x  # x_j against the sign of a_j
-            common = _softplus_neg(mag).sum(axis=1)
-            cost = common + (mag * wrong).sum(axis=1)
-            if info == 0:
-                self.metric += cost
-                return x
-            flipped = common + (mag * (1 - wrong)).sum(axis=1)
-            bit = self._branch(self.metric + cost, self.metric + flipped)
-            return x ^ bit[:, None]
-        half = size // 2
-        self.llr[d + 1] = _llr_minus(alpha[:, :half], alpha[:, half:])
-        self._write(d + 1)
-        left = self._node(d + 1, start)
-        alpha = self._read(self.llr[d], d)
-        self.llr[d + 1] = alpha[:, half:] + alpha[:, :half] * (1 - 2 * left)
-        self._write(d + 1)
-        slot = self.depth + 1 + d
-        self.held[d] = left
-        self._write(slot)
-        right = self._node(d + 1, start + half)
-        left = self._read(self.held[d], slot)
-        return np.concatenate([left ^ right, right], axis=1)
-
-    def _branch(self, keep_cost, flip_cost) -> np.ndarray:
-        """Split every path into its two candidates, given their metrics,
-        and keep the best L; returns the flip bit of each new path."""
-        cand = np.empty((self.batch, 2 * self.L))
-        cand[:, 0::2] = keep_cost.reshape(self.batch, self.L)
-        cand[:, 1::2] = flip_cost.reshape(self.batch, self.L)
-        order = np.argsort(cand, axis=1, kind="stable")
-        pick = (order[:, : self.L] + self.offsets).reshape(-1)
-        self.metric = cand.reshape(-1)[pick]
-        self.maps = self.maps[:, pick // 2]
-        self.copies += 1
-        return (pick % 2).astype(np.int8)
+    if np.any((frozen < 0) | (frozen >= channel.input_size)):
+        raise ValueError("frozen symbol out of range")
+    dec = ScDecoder(channel, np.repeat(received, list_size, axis=0))
+    return _list_walk(dec, steps, frozen, int(list_size))
 
 
 # ---------------------------------------------------------------------------

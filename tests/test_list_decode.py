@@ -27,9 +27,9 @@ NOISELESS = bsc(0.0)
 MIXED = DiscreteChannel(np.array([[0.6, 0.25, 0.15, 0.0], [0.0, 0.15, 0.25, 0.6]]))
 
 
-def random_stage(rng, n, k):
+def random_stage(rng, n, k, q=2):
     info = InformationSet(n, tuple(sorted(rng.choice(n, k, replace=False))))
-    frozen = rng.integers(0, 2, n)
+    frozen = rng.integers(0, q, n)
     return info, frozen
 
 
@@ -51,11 +51,11 @@ def sc_reference(ch, received, info, frozen):
     return dec.decisions
 
 
-def candidate_words(info, frozen):
+def candidate_words(info, frozen, q=2):
     """Every input vector that agrees with the frozen values."""
     k = len(info)
-    u = np.tile(frozen, (2**k, 1))
-    u[:, list(info.indices)] = list(itertools.product((0, 1), repeat=k))
+    u = np.tile(frozen, (q**k, 1))
+    u[:, list(info.indices)] = list(itertools.product(range(q), repeat=k))
     return u
 
 
@@ -152,7 +152,7 @@ def test_bec_full_list_returns_a_consistent_word():
     rng = np.random.default_rng(11)
     ambiguous = 0
     for trial in range(400):
-        n = (4, 8, 16)[trial % 3]
+        n = (1, 2, 4, 8, 16)[trial % 5]
         k = int(rng.integers(1, min(n, 6) + 1))
         info, frozen = random_stage(rng, n, k)
         u = frozen.copy()
@@ -171,24 +171,29 @@ def test_bec_full_list_returns_a_consistent_word():
     assert 0 < ambiguous < 400
 
 
-@pytest.mark.parametrize("ch", [bsc(0.15), MIXED], ids=["bsc", "mixed"])
+@pytest.mark.parametrize(
+    "ch",
+    [bsc(0.15), MIXED, product_power(bsc(0.15), 2), product_power(bec(0.3), 2)],
+    ids=["bsc", "mixed", "bsc^2", "bec^2"],
+)
 def test_full_list_is_maximum_likelihood(ch):
     """Unpruned, the path metrics are exact -log P(u | y), so the decoder
     returns the most likely word whenever it is unique."""
     rng = np.random.default_rng(12)
+    q = ch.input_size
     log_w = np.log(np.where(ch.transitions > 0, ch.transitions, 1e-300))
     checked = 0
     for trial in range(200):
-        n = (8, 16)[trial % 2]
-        k = int(rng.integers(1, 6))
-        info, frozen = random_stage(rng, n, k)
+        n = (1, 2, 8, 16)[trial % 4]
+        k = int(rng.integers(1, min(n, 5) + 1))
+        info, frozen = random_stage(rng, n, k, q)
         u = frozen.copy()
-        u[list(info.indices)] = rng.integers(0, 2, k)
+        u[list(info.indices)] = rng.integers(0, q, k)
         y = send(rng, ch, polar_encode(u))
-        words = candidate_words(info, frozen)
+        words = candidate_words(info, frozen, q)
         score = log_w[polar_encode(words), y].sum(axis=1)
         best = np.flatnonzero(score >= score.max() - 1e-9)
-        got = list_decode(ch, y, info, frozen, list_size=2**k)[0]
+        got = list_decode(ch, y, info, frozen, list_size=q**k)[0]
         if len(best) == 1:
             assert np.array_equal(got, words[best[0]])
             checked += 1

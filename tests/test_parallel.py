@@ -342,6 +342,13 @@ def test_nonbinary_build_uses_symbol_reliability():
     assert sch.super_channels[0].input_size == 4
 
 
+@pytest.mark.parametrize("cls", [InterleavedScheme, NonBinaryScheme])
+@pytest.mark.parametrize("rates", [[0.25], [0.25, 0.25, 0.9]], ids=["short", "long"])
+def test_coupled_build_takes_one_rate_per_channel(cls, rates):
+    with pytest.raises(ValueError, match="one rate per channel"):
+        cls.build([bsc(0.11), bec(0.5)], 64, m=2, rates=rates)
+
+
 # -- coupled schemes: golden record ------------------------------------------------
 
 # Recorded from the separate InterleavedScheme and NonBinaryScheme

@@ -26,6 +26,7 @@ from permpolar.polar import (
     list_decode,
     monotone_info_sets,
     polar_encode,
+    select_info_set,
     split_channel_exact,
     symbol_erasure_split_reliability,
 )
@@ -235,6 +236,12 @@ def test_build_info_set_rate_mode():
         build_info_set(bec(0.5), 8)
     with pytest.raises(ValueError):
         build_info_set(bec(0.5), 8, rate=0.5, threshold=0.1)
+    z = bec_split_bhattacharyya(0.5, 8)
+    assert select_info_set(z, rate=0.5) == a
+    with pytest.raises(ValueError, match="exactly one"):
+        select_info_set(z)
+    with pytest.raises(ValueError, match="exactly one"):
+        select_info_set(z, rate=0.5, threshold=0.1)
 
 
 def test_build_info_set_surrogate_for_bsc():
